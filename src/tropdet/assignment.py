@@ -47,9 +47,9 @@ def _require_square(a: IntMatrix) -> int:
 
 def _solve(a: IntMatrix, maximize: bool) -> Transversal:
     n = _require_square(a)
-    arr = a.to_array()
+    arr = a.array
     _, cols = linear_sum_assignment(arr, maximize=maximize)
-    perm = tuple(int(j) for j in cols)
+    perm = tuple(cols.tolist())
     value = int(arr[np.arange(n), cols].sum())
     return Transversal(perm=perm, value=value)
 

@@ -9,8 +9,11 @@ R x S at most t and |R| + |S| = 2n - matching size.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import MatrixShapeError
 from .matrices import IntMatrix
@@ -23,12 +26,16 @@ __all__ = [
 ]
 
 
-def _adjacency(a: IntMatrix, t: int) -> list[list[int]]:
-    adj = []
-    for i in range(a.rows):
-        row = a.row(i)
-        adj.append([j for j in range(a.cols) if row[j] > t])
-    return adj
+def _match_rows(above: np.ndarray) -> np.ndarray:
+    """Hopcroft-Karp maximum matching of the bipartite graph ``above``
+    (row i joined to column j where above[i, j]): the matched column of
+    each row, -1 for unmatched rows."""
+    rows, cols = above.nonzero()
+    indptr = np.searchsorted(rows, np.arange(above.shape[0] + 1))
+    graph = csr_array(
+        (np.ones(cols.size, dtype=bool), cols, indptr), shape=above.shape
+    )
+    return maximum_bipartite_matching(graph, perm_type="column")
 
 
 def max_matching_above(
@@ -37,27 +44,13 @@ def max_matching_above(
     """Maximum bipartite matching on entries strictly above t.
 
     Works on rectangular matrices.  Returns the matching size and the
-    matched (row, column) pairs sorted by row.  Deterministic: rows are
-    processed in order and columns tried in ascending order.
+    matched (row, column) pairs sorted by row.  Which maximum matching
+    comes back is up to Hopcroft-Karp; the size is the contract.
     """
-    adj = _adjacency(a, t)
-    match_of_col = [-1] * a.cols
-
-    def try_augment(i: int, visited: list[bool]) -> bool:
-        for j in adj[i]:
-            if not visited[j]:
-                visited[j] = True
-                if match_of_col[j] < 0 or try_augment(match_of_col[j], visited):
-                    match_of_col[j] = i
-                    return True
-        return False
-
-    size = 0
-    for i in range(a.rows):
-        if try_augment(i, [False] * a.cols):
-            size += 1
-    pairs = sorted((i, j) for j, i in enumerate(match_of_col) if i >= 0)
-    return size, tuple(pairs)
+    match = _match_rows(a.array > t)
+    matched = (match >= 0).nonzero()[0]
+    pairs = tuple(zip(matched.tolist(), match[matched].tolist()))
+    return len(pairs), pairs
 
 
 @dataclass(frozen=True)
@@ -95,46 +88,37 @@ def largest_low_block(a: IntMatrix, t: int) -> BlockDecomposition:
     if a.rows != a.cols:
         raise MatrixShapeError(f"not square: {a.rows}x{a.cols}")
     n = a.rows
-    _, pairs = max_matching_above(a, t)
-    match_of_row = [-1] * n
-    match_of_col = [-1] * n
-    for i, j in pairs:
-        match_of_row[i] = j
-        match_of_col[j] = i
+    above = a.array > t
+    match_of_row = _match_rows(above)
+    matched = (match_of_row >= 0).nonzero()[0]
+    match_of_col = np.full(n, -1)
+    match_of_col[match_of_row[matched]] = matched
 
-    adj = _adjacency(a, t)
-    reached_rows = [False] * n
-    reached_cols = [False] * n
-    queue: deque[int] = deque()
-    for i in range(n):
-        if match_of_row[i] < 0:
-            reached_rows[i] = True
-            queue.append(i)
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if not reached_cols[j]:
-                reached_cols[j] = True
-                i2 = match_of_col[j]
-                if i2 >= 0 and not reached_rows[i2]:
-                    reached_rows[i2] = True
-                    queue.append(i2)
+    # Alternating BFS, one level at a time: from the frontier rows along
+    # above-t edges to new columns, then back along their matching edges.
+    # Every reached column is matched, or the matching would not be maximum.
+    reached_rows = match_of_row < 0
+    reached_cols = np.zeros(n, dtype=bool)
+    frontier = reached_rows
+    while True:
+        new_cols = above[frontier].any(axis=0) & ~reached_cols
+        if not new_cols.any():
+            break
+        reached_cols |= new_cols
+        frontier = match_of_col[new_cols]
+        reached_rows[frontier] = True
 
-    row_set = tuple(i for i in range(n) if reached_rows[i])
-    col_set = tuple(j for j in range(n) if not reached_cols[j])
-    row_perm = tuple(
-        [i for i in range(n) if not reached_rows[i]] + list(row_set)
-    )
-    col_perm = tuple(
-        [j for j in range(n) if reached_cols[j]] + list(col_set)
-    )
+    row_set = reached_rows.nonzero()[0].tolist()
+    col_set = (~reached_cols).nonzero()[0].tolist()
+    row_perm = (~reached_rows).nonzero()[0].tolist() + row_set
+    col_perm = reached_cols.nonzero()[0].tolist() + col_set
     return BlockDecomposition(
-        row_set=row_set,
-        col_set=col_set,
+        row_set=tuple(row_set),
+        col_set=tuple(col_set),
         k1=n - len(row_set),
         k2=n - len(col_set),
-        row_perm=row_perm,
-        col_perm=col_perm,
+        row_perm=tuple(row_perm),
+        col_perm=tuple(col_perm),
         threshold=t,
     )
 

@@ -24,6 +24,7 @@ either both hold (value q*n + 2l) or only ineq2 does (value q*n + 2l + 1).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -71,8 +72,10 @@ def _ineq2(l: int, q: int, r: int, n: int) -> bool:
 def smallest_l(q: int, r: int, n: int) -> tuple[int, bool, bool]:
     """Smallest l >= 0 satisfying ineq1 or ineq2, with which ones hold.
 
-    Only defined in the hard regime q >= 1, r >= 1, n > 2r + r*q.  The
-    scan is bounded: ineq1 always holds by l = n // 2.
+    Only defined in the hard regime q >= 1, r >= 1, n > 2r + r*q.  Since
+    ineq1 implies ineq2, l is the least integer at or above the positive
+    root of ineq2's quadratic.  math.isqrt rounds that root down, so the
+    estimate never overshoots and a short exact step up finishes it.
     """
     if q < 1 or r < 1:
         raise DomainError(f"need q >= 1 and r >= 1, got q={q} r={r}")
@@ -80,12 +83,11 @@ def smallest_l(q: int, r: int, n: int) -> tuple[int, bool, bool]:
         raise DomainError(
             f"not in the hard regime: n={n} <= 2r + r*q = {2 * r + r * q}"
         )
-    for l in range(0, n // 2 + 1):
-        e1 = _ineq1(l, q, r, n)
-        e2 = _ineq2(l, q, r, n)
-        if e1 or e2:
-            return l, e1, e2
-    raise AssertionError("unreachable: ineq1 holds by l = n // 2")
+    b = 2 * r + q
+    l = (math.isqrt(b * b + 4 * q * r * (n - 1)) - b) // (2 * q)
+    while not _ineq2(l, q, r, n):
+        l += 1
+    return l, _ineq1(l, q, r, n), True
 
 
 def lower_bound_L(m: int, n: int) -> BoundsResult:

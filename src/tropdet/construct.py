@@ -3,9 +3,9 @@
 construct_min_tdet builds a matrix whose maximum transversal meets the
 sharp lower bound; construct_max_tropdet builds one whose minimum
 transversal meets the sharp upper bound.  All constructions are block
-matrices [[A1, A2], [A3, A4]] (possibly with empty off-blocks) assembled
-from constant blocks, circulant bands, and, in the hard case, a capped
-transportation fill of the upper-left block.
+matrices [[A1, A2], [A3, A4]] (possibly with empty off-blocks): one
+constant int64 array with circulant bands, and, in the hard case, a capped
+transportation fill of the upper-left block, written into its slices.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bounds import CaseTag, lower_bound_L, smallest_l
 from .errors import DomainError, InfeasibleMarginalsError
-from .matrices import DSMatrix, IntMatrix, split, validate_ds
+from .matrices import DSMatrix, IntMatrix, check_entry_limit, split, validate_ds
 
 __all__ = [
     "BlockPlan",
@@ -80,7 +82,7 @@ def fill_bounded_transportation(
 
     assert all(rem == 0 for rem in row_rem) and all(rem == 0 for rem in col_rem)
     assert all(0 <= grid[i][j] <= cap for i in range(nr) for j in range(nc))
-    return IntMatrix(nr, nc, tuple(x for row in grid for x in row))
+    return IntMatrix(nr, nc, grid)
 
 
 def _augment(grid, cap, row_rem, col_rem, start) -> int:
@@ -193,19 +195,13 @@ def plan_hard_case(m: int, n: int) -> BlockPlan:
     )
 
 
-def _assemble(
-    a1: list[list[int]],
-    a2: list[list[int]],
-    a3: list[list[int]],
-    a4: list[list[int]],
-) -> IntMatrix:
-    top = [r1 + r2 for r1, r2 in zip(a1, a2)]
-    bottom = [r3 + r4 for r3, r4 in zip(a3, a4)]
-    return IntMatrix.from_rows(top + bottom)
-
-
-def _constant(rows: int, cols: int, value: int) -> list[list[int]]:
-    return [[value] * cols for _ in range(rows)]
+def _band(
+    rows: int, cols: int, di: int, dj: int, p: int, band: int
+) -> np.ndarray:
+    """rows x cols circulant mask, True where (dj*j + di*i) mod p < band."""
+    i = np.arange(rows)[:, None]
+    j = np.arange(cols)[None, :]
+    return (dj * j + di * i) % p < band
 
 
 def construct_min_tdet(m: int, n: int) -> DSMatrix:
@@ -213,75 +209,45 @@ def construct_min_tdet(m: int, n: int) -> DSMatrix:
     res = lower_bound_L(m, n)
     q, r = res.params.q, res.params.r
     tag = res.case_tag
-
-    if tag is CaseTag.R_ZERO:
-        body = _constant(n, n, q)
-        return validate_ds(IntMatrix.from_rows(body))
+    check_entry_limit(q + (r > 0), n)  # q + 1 is the top entry once r > 0
+    body = np.full((n, n), q, dtype=np.int64)
 
     if tag is CaseTag.Q_ZERO:
-        body = [[1 if (j - i) % n < m else 0 for j in range(n)] for i in range(n)]
-        return validate_ds(IntMatrix.from_rows(body))
-
-    if tag in (CaseTag.HALF_UP, CaseTag.SHARP2):
+        body += _band(n, n, -1, 1, n, m)
+    elif tag in (CaseTag.HALF_UP, CaseTag.SHARP2):
         if tag is CaseTag.HALF_UP:
-            width = 2 * r - n
-            a1 = [
-                [q + 1 if (j - i) % r < width else q for j in range(r)]
-                for i in range(r)
-            ]
+            body[:r, :r] += _band(r, r, -1, 1, r, 2 * r - n)
         else:
             # Spread the deficit n - 2r over the r x r block: constant
             # drop of (n - 2r) // r everywhere plus a circulant -1 band.
             drop, band = divmod(n - 2 * r, r)
             assert q - drop - (1 if band else 0) >= 0
-            a1 = [
-                [q - drop - (1 if (j - i) % r < band else 0) for j in range(r)]
-                for i in range(r)
-            ]
-        a2 = _constant(r, n - r, q + 1)
-        a3 = _constant(n - r, r, q + 1)
-        a4 = _constant(n - r, n - r, q)
-        return validate_ds(_assemble(a1, a2, a3, a4))
-
-    plan = plan_hard_case(m, n)
-    l1, l2 = plan.l1, plan.l2
-    a1 = fill_bounded_transportation(
-        plan.row_targets, plan.col_targets, plan.cap
-    ).to_nested()
-    a2 = [
-        [q + 1 if (i - j * r) % l1 < r else q for j in range(n - l2)]
-        for i in range(l1)
-    ]
-    a3 = [
-        [q + 1 if (j - i * r) % l2 < r else q for j in range(l2)]
-        for i in range(n - l1)
-    ]
-    a4 = _constant(n - l1, n - l2, q)
-    return validate_ds(_assemble(a1, a2, a3, a4))
+            body[:r, :r] -= drop + _band(r, r, -1, 1, r, band)
+        body[:r, r:] += 1
+        body[r:, :r] += 1
+    elif tag in (CaseTag.HARD_CASE1, CaseTag.HARD_CASE2):
+        plan = plan_hard_case(m, n)
+        l1, l2 = plan.l1, plan.l2
+        body[:l1, :l2] = fill_bounded_transportation(
+            plan.row_targets, plan.col_targets, plan.cap
+        ).array
+        body[:l1, l2:] += _band(l1, n - l2, 1, -r, l1, r)
+        body[l1:, :l2] += _band(n - l1, l2, -r, 1, l2, r)
+    return validate_ds(IntMatrix(n, n, body))
 
 
 def construct_max_tropdet(m: int, n: int) -> DSMatrix:
     """A member of D(m, n) whose tropdet equals upper_bound_U(m, n)."""
     p = split(m, n)
     q, r = p.q, p.r
-    if r == 0:
-        return validate_ds(IntMatrix.from_rows(_constant(n, n, q)))
-
     side = n - r
-    if 2 * r < n:
-        a1 = [
-            [q + 1 if (j - i) % side < r else q for j in range(side)]
-            for i in range(side)
-        ]
-    else:
-        # r does not fit as a circulant band of q+1 entries, so raise the
-        # whole block by r // side and keep a band only for the remainder.
-        lift, band = divmod(r, side)
-        a1 = [
-            [q + lift + (1 if (j - i) % side < band else 0) for j in range(side)]
-            for i in range(side)
-        ]
-    a2 = _constant(side, r, q)
-    a3 = _constant(r, side, q)
-    a4 = _constant(r, r, q + 1)
-    return validate_ds(_assemble(a1, a2, a3, a4))
+    # The upper-left block spreads r extra units per line: a circulant band
+    # of +1 when r < side, else a whole-block lift of r // side plus a band
+    # for the remainder.
+    lift, band = divmod(r, side)
+    check_entry_limit(q + lift + (band > 0), n)
+    body = np.full((n, n), q, dtype=np.int64)
+    if r:
+        body[:side, :side] += lift + _band(side, side, -1, 1, side, band)
+        body[side:, side:] += 1
+    return validate_ds(IntMatrix(n, n, body))

@@ -191,4 +191,4 @@ def random_ds(m: int, n: int, seed: int | None = None) -> DSMatrix:
     rows = np.arange(n)
     for _ in range(m):
         acc[rows, rng.permutation(n)] += 1
-    return validate_ds(IntMatrix(n, n, tuple(int(x) for x in acc.ravel())))
+    return validate_ds(IntMatrix(n, n, acc))

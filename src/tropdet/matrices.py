@@ -10,10 +10,11 @@ sums everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import (
     DomainError,
@@ -26,6 +27,7 @@ __all__ = [
     "IntMatrix",
     "DSMatrix",
     "SplitParams",
+    "check_entry_limit",
     "parse_matrix",
     "serialize",
     "validate_ds",
@@ -33,35 +35,83 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable matrix of non-negative integers, stored row-major.
+def check_entry_limit(max_entry: int, side: int) -> None:
+    """Refuse entries whose line and transversal sums could leave int64.
 
-    Zero rows or columns are legal (blocks cut out of a larger matrix may
-    be empty); parsing, by contrast, never produces an empty matrix.
+    Every such sum has at most ``side`` terms, so ``max_entry * side`` within
+    2**63 - 1 keeps all of them exact.
+    """
+    if max_entry * side > 2**63 - 1:
+        raise DomainError(
+            f"entries up to {max_entry} with {side} per line can sum past "
+            f"the int64 limit: need max entry * max(rows, cols) <= 2**63 - 1"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class IntMatrix:
+    """Immutable matrix of non-negative integers held as one read-only int64
+    array, ``array``.  Built as ``IntMatrix(rows, cols, entries)`` from any
+    row-major array-like of rows * cols integers.
+
+    Entries are capped so that max entry * max(rows, cols) <= 2**63 - 1,
+    which keeps every line and transversal sum exact in int64.  Zero rows or
+    columns are legal (blocks cut out of a larger matrix may be empty);
+    parsing, by contrast, never produces an empty matrix.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    # The init-only arguments share their names with the read-only
+    # properties below, which dataclass then lists as their defaults.
+    rows: InitVar[int]
+    cols: InitVar[int]
+    entries: InitVar[ArrayLike]
+    array: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __post_init__(self, rows: int, cols: int, entries: ArrayLike):
+        if rows < 0 or cols < 0:
+            raise MatrixShapeError(f"negative dimensions {rows}x{cols}")
+        raw = np.asarray(entries)
+        if raw.size != rows * cols:
             raise MatrixShapeError(
-                f"negative dimensions {self.rows}x{self.cols}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, "
+                f"got {raw.size}"
             )
-        if len(self.entries) != self.rows * self.cols:
-            raise MatrixShapeError(
-                f"{self.rows}x{self.cols} matrix needs "
-                f"{self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for k, value in enumerate(self.entries):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raw = raw.reshape(rows, cols)
+        if raw.size:
+            if raw.dtype.kind not in "iu":
                 raise MatrixParseError(
-                    f"entry {k} is not an integer: {value!r}"
+                    "entries must be integers in [0, 2**63 - 1], "
+                    f"got {raw.dtype} values"
                 )
-            if value < 0:
-                raise MatrixParseError(f"entry {k} is negative: {value}")
+            negative = (raw < 0).ravel().nonzero()[0]
+            if negative.size:
+                k = int(negative[0])
+                raise MatrixParseError(f"entry {k} is negative: {raw.flat[k]}")
+            check_entry_limit(int(raw.max()), max(rows, cols))
+        array = raw.astype(np.int64)  # always a private copy
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """Row-major entries as Python ints."""
+        return tuple(self.array.ravel().tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.array.shape, self.array.tobytes()))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -74,44 +124,26 @@ class IntMatrix:
                 raise MatrixShapeError(
                     f"row {i} has {len(r)} entries, expected {width}"
                 )
-        flat = tuple(int(x) for row in rows for x in row)
-        return cls(len(rows), width, flat)
+        return cls(len(rows), width, rows)
 
     def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return int(self.array[i, j])
 
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(self.row(i)) for i in range(self.rows))
+        return tuple(self.array.sum(axis=1).tolist())
 
     def col_sums(self) -> tuple[int, ...]:
-        sums = [0] * self.cols
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                sums[j] += self.entries[base + j]
-        return tuple(sums)
+        return tuple(self.array.sum(axis=0).tolist())
 
     def submatrix(
         self, row_idx: Iterable[int], col_idx: Iterable[int]
     ) -> "IntMatrix":
         """Matrix restricted to (and reordered by) the given index lists."""
-        rows = list(row_idx)
-        cols = list(col_idx)
-        flat = tuple(
-            self.entries[i * self.cols + j] for i in rows for j in cols
-        )
-        return IntMatrix(len(rows), len(cols), flat)
+        block = self.array[np.ix_(list(row_idx), list(col_idx))]
+        return IntMatrix(*block.shape, block)
 
     def to_nested(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64).reshape(
-            self.rows, self.cols
-        )
+        return self.array.tolist()
 
 
 @dataclass(frozen=True)
@@ -163,19 +195,18 @@ def _check_membership(matrix: IntMatrix, m: int) -> None:
         )
     if matrix.rows < 1:
         raise MatrixShapeError("empty matrix cannot be doubly stochastic")
-    row_sums = matrix.row_sums()
-    col_sums = matrix.col_sums()
     # Rows are compared against row 0, columns against column 0.  Equal rows
     # and equal columns force the two reference sums to agree (both equal the
     # total divided by n), so only the cross-check against m remains.
-    for i, total in enumerate(row_sums):
-        if total != row_sums[0]:
-            raise LineSumError("row", i, total, row_sums[0])
-    for j, total in enumerate(col_sums):
-        if total != col_sums[0]:
-            raise LineSumError("column", j, total, col_sums[0])
-    if row_sums[0] != m:
-        raise LineSumError("row", 0, row_sums[0], m)
+    row_sums = matrix.array.sum(axis=1)
+    col_sums = matrix.array.sum(axis=0)
+    for axis, sums in (("row", row_sums), ("column", col_sums)):
+        off = (sums != sums[0]).nonzero()[0]
+        if off.size:
+            k = int(off[0])
+            raise LineSumError(axis, k, int(sums[k]), int(sums[0]))
+    if int(row_sums[0]) != m:
+        raise LineSumError("row", 0, int(row_sums[0]), m)
 
 
 def validate_ds(matrix: IntMatrix) -> DSMatrix:
@@ -184,11 +215,7 @@ def validate_ds(matrix: IntMatrix) -> DSMatrix:
     Raises MatrixShapeError for non-square input and LineSumError naming the
     first offending row or column otherwise.
     """
-    if matrix.rows != matrix.cols:
-        raise MatrixShapeError(f"not square: {matrix.rows}x{matrix.cols}")
-    if matrix.rows < 1:
-        raise MatrixShapeError("empty matrix cannot be doubly stochastic")
-    return DSMatrix(matrix=matrix, m=sum(matrix.row(0)))
+    return DSMatrix(matrix=matrix, m=int(matrix.array[:1].sum()))
 
 
 def parse_matrix(text: str) -> IntMatrix:
@@ -224,7 +251,7 @@ def parse_matrix(text: str) -> IntMatrix:
             raise MatrixShapeError(
                 f"row {i + 1} has {len(row)} entries, expected {width}"
             )
-    return IntMatrix(len(rows), width, tuple(x for row in rows for x in row))
+    return IntMatrix(len(rows), width, rows)
 
 
 def serialize(matrix: IntMatrix | DSMatrix, fmt: str = "plain") -> str:
@@ -239,14 +266,12 @@ def serialize(matrix: IntMatrix | DSMatrix, fmt: str = "plain") -> str:
         m = matrix.m
         matrix = matrix.matrix
     if fmt == "plain":
-        return "\n".join(
-            " ".join(str(x) for x in matrix.row(i)) for i in range(matrix.rows)
-        )
+        return "\n".join(" ".join(map(str, row)) for row in matrix.to_nested())
     if fmt == "structured":
         doc: dict = {
             "rows": matrix.rows,
             "cols": matrix.cols,
-            "entries": list(matrix.entries),
+            "entries": matrix.array.ravel().tolist(),
         }
         if m is not None:
             doc["m"] = m

@@ -5,6 +5,7 @@ from conftest import mat
 from tropdet import (
     MatrixShapeError,
     arrange_block_corner,
+    construct_min_tdet,
     has_transversal_above,
     largest_low_block,
     max_matching_above,
@@ -223,3 +224,12 @@ class TestDoublyStochastic:
             ds = random_ds(m, n, seed=int(rng.integers(0, 2**32)))
             block = largest_low_block(ds.matrix, 0)
             assert block.dimension_sum <= n
+
+    def test_large_member(self):
+        # alternating paths hundreds of rows long
+        a = construct_min_tdet(1001, 1000).matrix
+        block = largest_low_block(a, 0)
+        assert block.dimension_sum <= 1000
+        found, pairs = has_transversal_above(a, 0)
+        assert found and len(pairs) == 1000
+        assert all(a.at(i, j) > 0 for i, j in pairs)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tropdet import (
@@ -18,6 +18,14 @@ def ineq1(l, q, r, n):
 
 def ineq2(l, q, r, n):
     return l * l * q + l * (2 * r + q) + r - r * n >= 0
+
+
+def scan_l(q, r, n):
+    """Smallest l by a plain upward scan."""
+    l = 0
+    while not (ineq1(l, q, r, n) or ineq2(l, q, r, n)):
+        l += 1
+    return l, ineq1(l, q, r, n), ineq2(l, q, r, n)
 
 
 class TestSmallestL:
@@ -52,6 +60,19 @@ class TestSmallestL:
                     if e1:
                         # strict implication: ineq1 never holds alone
                         assert ineq2(l, q, r, n)
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(3, 10**5))
+    def test_matches_scan(self, q, r, n):
+        assume(n > 2 * r + r * q)
+        assert smallest_l(q, r, n) == scan_l(q, r, n)
+
+    @pytest.mark.parametrize("q,r", [(1, 1), (1, 999), (7, 3), (10**6, 10**5)])
+    def test_huge_n(self, q, r):
+        n = 10**18
+        l, e1, e2 = smallest_l(q, r, n)
+        assert e2 and e1 == ineq1(l, q, r, n)
+        assert not ineq1(l - 1, q, r, n)
+        assert not ineq2(l - 1, q, r, n)
 
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(2, 60))
     def test_implication_everywhere(self, q, r, n):

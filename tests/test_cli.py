@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import CIRCULANT_4_6_TEXT
-from tropdet import lower_bound_L, upper_bound_U
+from tropdet import construct_min_tdet, lower_bound_L, serialize, upper_bound_U
 from tropdet.cli import main
 
 
@@ -77,6 +77,23 @@ class TestConstruct:
             assert doc["matrix"]["m"] == 9
             assert sum(doc["matrix"]["entries"]) == 9 * 6
 
+    @pytest.mark.parametrize(
+        "m,objective",
+        [
+            ("10000000000000000001", "min-tdet"),
+            ("10000000000000000001", "max-tropdet"),
+            ("100000000000000000000", "min-tdet"),
+            ("100000000000000000000", "max-tropdet"),
+        ],
+    )
+    def test_entries_past_int64_fail_cleanly(self, capsys, m, objective):
+        code, out, err = run(
+            capsys, "construct", "--m", m, "--n", "5", "--objective", objective
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_objective_required(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["construct", "--m", "7", "--n", "5"])
@@ -124,6 +141,14 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_sum_past_int64_fails_cleanly(self, capsys, tmp_path):
+        big = 5 * 10**18
+        path = write(tmp_path, "big.txt", f"{big} 0\n0 {big}\n")
+        code, out, err = run(capsys, "tdet", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "tdet", str(tmp_path / "absent.txt"))
@@ -262,6 +287,13 @@ class TestZeroBlock:
         _, out, _ = run(capsys, "zero-block", path, "--threshold", "2")
         assert "sum = 4" in out
         assert "fails" in out
+
+    def test_large_member(self, capsys, tmp_path):
+        text = serialize(construct_min_tdet(1001, 1000))
+        path = write(tmp_path, "large.txt", text)
+        code, out, err = run(capsys, "zero-block", path)
+        assert code == 0 and err == ""
+        assert "Hall condition (|R| + |S| <= n): holds" in out
 
     def test_structured(self, capsys, tmp_path):
         path = write(tmp_path, "z.txt", "1 1 1\n0 0 0\n1 1 1\n")

@@ -125,6 +125,26 @@ class TestIntMatrix:
         with pytest.raises(MatrixParseError):
             IntMatrix(1, 2, (1, -1))
 
+    @pytest.mark.parametrize(
+        "rows,cols,entries",
+        [(1, 1, (2**63,)), (2, 2, (5 * 10**18, 0, 0, 5 * 10**18))],
+    )
+    def test_sums_past_int64_rejected(self, rows, cols, entries):
+        with pytest.raises(DomainError, match="2\\*\\*63 - 1"):
+            IntMatrix(rows, cols, entries)
+
+    def test_largest_exact_entries_accepted(self):
+        top = (2**63 - 1) // 2
+        a = IntMatrix(2, 2, (top, 0, 0, top))
+        assert a.row_sums() == (top, top)
+        assert IntMatrix(1, 1, (2**63 - 1,)).at(0, 0) == 2**63 - 1
+
+    def test_array_is_read_only(self):
+        a = mat([[1, 2], [3, 4]])
+        with pytest.raises(ValueError):
+            a.array[0, 0] = 7
+        assert a.at(0, 0) == 1
+
 
 class TestValidate:
     def test_ones(self):
