@@ -32,7 +32,6 @@ from .construct import (
     BlockPlan,
     construct_max_tropdet,
     construct_min_tdet,
-    fill_bounded_transportation,
     plan_hard_case,
 )
 from .enumerate_ds import (
@@ -47,7 +46,6 @@ from .enumerate_ds import (
 from .errors import (
     BudgetExceededError,
     DomainError,
-    InfeasibleMarginalsError,
     LineSumError,
     MatrixParseError,
     MatrixShapeError,
@@ -76,7 +74,6 @@ __all__ = [
     "DSMatrix",
     "DomainError",
     "EnumStats",
-    "InfeasibleMarginalsError",
     "IntMatrix",
     "LineSumError",
     "MatrixParseError",
@@ -93,7 +90,6 @@ __all__ = [
     "construct_min_tdet",
     "count_D",
     "enumerate_D",
-    "fill_bounded_transportation",
     "has_transversal_above",
     "largest_low_block",
     "lower_bound_L",

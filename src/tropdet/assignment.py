@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .blocks import max_matching_above
 from .errors import DomainError, MatrixShapeError, SizeGuardError
@@ -46,6 +45,10 @@ def _require_square(a: IntMatrix) -> int:
 
 
 def _solve(a: IntMatrix, maximize: bool) -> Transversal:
+    # scipy.optimize is most of the package's import time and only the
+    # solve needs it.
+    from scipy.optimize import linear_sum_assignment
+
     n = _require_square(a)
     arr = a.array
     _, cols = linear_sum_assignment(arr, maximize=maximize)

@@ -4,135 +4,26 @@ construct_min_tdet builds a matrix whose maximum transversal meets the
 sharp lower bound; construct_max_tropdet builds one whose minimum
 transversal meets the sharp upper bound.  All constructions are block
 matrices [[A1, A2], [A3, A4]] (possibly with empty off-blocks): one
-constant int64 array with circulant bands, and, in the hard case, a capped
-transportation fill of the upper-left block, written into its slices.
+constant int64 array with circulant bands written into its slices, and,
+in the hard case, an upper-left block dealt round-robin in closed form.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .bounds import CaseTag, lower_bound_L, smallest_l
-from .errors import DomainError, InfeasibleMarginalsError
+from .errors import DomainError
 from .matrices import DSMatrix, IntMatrix, check_entry_limit, split, validate_ds
 
 __all__ = [
     "BlockPlan",
-    "fill_bounded_transportation",
     "plan_hard_case",
     "construct_min_tdet",
     "construct_max_tropdet",
 ]
-
-
-def fill_bounded_transportation(
-    row_targets: Sequence[int], col_targets: Sequence[int], cap: int
-) -> IntMatrix:
-    """Non-negative integer matrix with given marginals and entries <= cap.
-
-    Deterministic: a row-major greedy pass assigns min(cap, row remainder,
-    column remainder) to each cell, then leftover demand is repaired along
-    augmenting paths in the residual (raise a cell below cap, lower one
-    above zero).  The repair finds a fill whenever one exists; otherwise an
-    InfeasibleMarginalsError names what failed.
-    """
-    rows = [int(x) for x in row_targets]
-    cols = [int(x) for x in col_targets]
-    if cap < 0:
-        raise DomainError(f"cap must be >= 0, got {cap}")
-    for name, targets, other_len in (("row", rows, len(cols)), ("column", cols, len(rows))):
-        for k, value in enumerate(targets):
-            if value < 0:
-                raise InfeasibleMarginalsError(
-                    f"{name} target {k} is negative: {value}"
-                )
-            if value > cap * other_len:
-                raise InfeasibleMarginalsError(
-                    f"{name} target {k} is {value}, exceeding "
-                    f"cap * {other_len} = {cap * other_len}"
-                )
-    if sum(rows) != sum(cols):
-        raise InfeasibleMarginalsError(
-            f"row targets sum to {sum(rows)} but column targets sum to {sum(cols)}"
-        )
-
-    nr, nc = len(rows), len(cols)
-    grid = [[0] * nc for _ in range(nr)]
-    row_rem = list(rows)
-    col_rem = list(cols)
-    for i in range(nr):
-        for j in range(nc):
-            x = min(cap, row_rem[i], col_rem[j])
-            grid[i][j] = x
-            row_rem[i] -= x
-            col_rem[j] -= x
-
-    for start in range(nr):
-        while row_rem[start] > 0:
-            moved = _augment(grid, cap, row_rem, col_rem, start)
-            if moved == 0:
-                raise InfeasibleMarginalsError(
-                    "no feasible fill: marginals "
-                    f"{tuple(rows)} / {tuple(cols)} cannot be met under cap {cap}"
-                )
-
-    assert all(rem == 0 for rem in row_rem) and all(rem == 0 for rem in col_rem)
-    assert all(0 <= grid[i][j] <= cap for i in range(nr) for j in range(nc))
-    return IntMatrix(nr, nc, grid)
-
-
-def _augment(grid, cap, row_rem, col_rem, start) -> int:
-    """Push flow from a deficient row to some column with leftover demand."""
-    nr, nc = len(row_rem), len(col_rem)
-    prev_row_of_col = [-1] * nc
-    prev_col_of_row = [-1] * nr
-    seen_row = [False] * nr
-    seen_col = [False] * nc
-    seen_row[start] = True
-    queue: deque[tuple[bool, int]] = deque([(True, start)])
-    target = -1
-    while queue and target < 0:
-        is_row, idx = queue.popleft()
-        if is_row:
-            for j in range(nc):
-                if not seen_col[j] and grid[idx][j] < cap:
-                    seen_col[j] = True
-                    prev_row_of_col[j] = idx
-                    if col_rem[j] > 0:
-                        target = j
-                        break
-                    queue.append((False, j))
-        else:
-            for i in range(nr):
-                if not seen_row[i] and grid[i][idx] > 0:
-                    seen_row[i] = True
-                    prev_col_of_row[i] = idx
-                    queue.append((True, i))
-    if target < 0:
-        return 0
-
-    path: list[tuple[int, int, int]] = []
-    j = target
-    while True:
-        i = prev_row_of_col[j]
-        path.append((i, j, +1))
-        if i == start:
-            break
-        j = prev_col_of_row[i]
-        path.append((i, j, -1))
-    delta = min(row_rem[start], col_rem[target])
-    for i, j, d in path:
-        delta = min(delta, cap - grid[i][j] if d > 0 else grid[i][j])
-    assert delta > 0
-    for i, j, d in path:
-        grid[i][j] += d * delta
-    row_rem[start] -= delta
-    col_rem[target] -= delta
-    return delta
 
 
 @dataclass(frozen=True)
@@ -204,8 +95,36 @@ def _band(
     return (dj * j + di * i) % p < band
 
 
+def _deal(plan: BlockPlan) -> np.ndarray:
+    """The hard-case upper-left block: plan.a units dealt round-robin.
+
+    Unit k (counted row by row, row i taking t_i = row_targets[i] units)
+    lands in column (o + k) mod l2 with o = (-a) mod l2, so cell (i, j)
+    counts the k in [T_i, T_{i+1}) with k = c_j (mod l2), where T is the
+    running sum of the row targets and c_j = (j - o) mod l2 = (j + a) mod
+    l2.  That count is ceil((T_{i+1} - c_j) / l2) - ceil((T_i - c_j) / l2).
+    Rows sum to t_i, entries are at most ceil(t_i / l2) <= q, and column j
+    gets ceil((a - c_j) / l2), one more on the columns j >= extra3 exactly
+    as plan.col_targets asks, since a = -extra3 (mod l2).
+    """
+    t = np.concatenate(([0], np.cumsum(plan.row_targets)))[:, None]
+    c = (np.arange(plan.l2) + plan.a) % plan.l2
+    return np.diff(-((c - t) // plan.l2), axis=0)
+
+
 def construct_min_tdet(m: int, n: int) -> DSMatrix:
-    """A member of D(m, n) whose tdet equals lower_bound_L(m, n)."""
+    """A member of D(m, n) whose tdet equals lower_bound_L(m, n).
+
+    In the hard regime the matrix is [[A1, A2], [A3, A4]] with A1 the
+    l1 x l2 dealt block (entries <= q), A2 and A3 circulants of q and
+    q + 1, and A4 all q.  Why that is sharp: a permutation that sends s of
+    the l1 top rows into the right columns takes s entries from A2, and
+    the l2 - (l1 - s) left columns it fills from bottom rows take entries
+    from A3; every other entry it takes is at most q.  As s <= l1, it
+    collects at most s + (l2 - l1 + s) <= l1 + l2 units above q * n, and
+    tdet <= q*n + l1 + l2 = L(m, n) for any such fill of A1.  The theorem
+    gives tdet >= L(m, n) for every member of D(m, n).
+    """
     res = lower_bound_L(m, n)
     q, r = res.params.q, res.params.r
     tag = res.case_tag
@@ -228,9 +147,7 @@ def construct_min_tdet(m: int, n: int) -> DSMatrix:
     elif tag in (CaseTag.HARD_CASE1, CaseTag.HARD_CASE2):
         plan = plan_hard_case(m, n)
         l1, l2 = plan.l1, plan.l2
-        body[:l1, :l2] = fill_bounded_transportation(
-            plan.row_targets, plan.col_targets, plan.cap
-        ).array
+        body[:l1, :l2] = _deal(plan)
         body[:l1, l2:] += _band(l1, n - l2, 1, -r, l1, r)
         body[l1:, :l2] += _band(n - l1, l2, -r, 1, l2, r)
     return validate_ds(IntMatrix(n, n, body))

@@ -51,7 +51,3 @@ class BudgetExceededError(TropdetError, RuntimeError):
             f"enumeration budget exceeded: {visited} matrices visited "
             f"(budget {budget})"
         )
-
-
-class InfeasibleMarginalsError(TropdetError, ValueError):
-    """No matrix satisfies the requested marginals under the entry cap."""

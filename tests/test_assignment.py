@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,3 +191,19 @@ class TestTransversalAbove:
             n = int(rng.integers(2, 8))
             ds = random_ds(m, n, seed=int(rng.integers(0, 2**32)))
             assert has_transversal_above(ds.matrix, 0)[0]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the package's import time; only the solve
+    # needs it, so processes that never solve should not pay for it
+    src = str(Path(sys.modules["tropdet"].__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, tropdet; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

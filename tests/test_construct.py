@@ -6,10 +6,9 @@ import pytest
 from conftest import CIRCULANT_4_6, M6_SUM7, RUBIK_6X6
 from tropdet import (
     DomainError,
-    InfeasibleMarginalsError,
+    brute_assignment,
     construct_max_tropdet,
     construct_min_tdet,
-    fill_bounded_transportation,
     lower_bound_L,
     plan_hard_case,
     split,
@@ -27,59 +26,9 @@ def perm_values(a):
     ]
 
 
-class TestFill:
-    def test_greedy_suffices(self):
-        filled = fill_bounded_transportation([3, 3], [2, 2, 2], 2)
-        assert filled.to_nested() == [[2, 1, 0], [0, 1, 2]]
-
-    def test_repair_path_needed(self):
-        # greedy alone strands two units in the last row; the augmenting
-        # pass must move mass out of column 0 to finish
-        filled = fill_bounded_transportation([2, 2, 4], [4, 4, 0], 2)
-        assert list(filled.row_sums()) == [2, 2, 4]
-        assert list(filled.col_sums()) == [4, 4, 0]
-        assert all(x <= 2 for x in filled.entries)
-
-    def test_infeasible_despite_sane_marginals(self):
-        # each target fits its line, sums agree, yet rows 0 and 1 demand
-        # six units from columns that can supply them at most five
-        with pytest.raises(InfeasibleMarginalsError, match="no feasible fill"):
-            fill_bounded_transportation([3, 3, 0, 0], [1, 1, 1, 3], 1)
-
-    def test_target_exceeds_line_capacity(self):
-        with pytest.raises(InfeasibleMarginalsError, match="exceeding"):
-            fill_bounded_transportation([5], [5], 4)
-
-    def test_negative_target(self):
-        with pytest.raises(InfeasibleMarginalsError, match="negative"):
-            fill_bounded_transportation([-1, 1], [0, 0], 3)
-
-    def test_sum_mismatch(self):
-        with pytest.raises(InfeasibleMarginalsError, match="sum to"):
-            fill_bounded_transportation([2, 2], [1, 1, 1], 2)
-
-    def test_negative_cap(self):
-        with pytest.raises(DomainError):
-            fill_bounded_transportation([0], [0], -1)
-
-    def test_zero_size(self):
-        filled = fill_bounded_transportation([], [], 3)
-        assert filled.rows == 0 and filled.cols == 0
-
-    def test_random_feasible_instances(self):
-        # marginals taken from an actual capped matrix are always feasible
-        rng = np.random.default_rng(41)
-        for _ in range(60):
-            nr = int(rng.integers(1, 7))
-            nc = int(rng.integers(1, 7))
-            cap = int(rng.integers(1, 5))
-            source = rng.integers(0, cap + 1, size=(nr, nc))
-            filled = fill_bounded_transportation(
-                source.sum(axis=1).tolist(), source.sum(axis=0).tolist(), cap
-            )
-            assert list(filled.row_sums()) == source.sum(axis=1).tolist()
-            assert list(filled.col_sums()) == source.sum(axis=0).tolist()
-            assert all(0 <= x <= cap for x in filled.entries)
+def is_hard(m, n):
+    p = split(m, n)
+    return p.q >= 1 and p.r >= 1 and n > 2 * p.r + p.r * p.q
 
 
 class TestPlan:
@@ -173,6 +122,38 @@ class TestMinTdet:
             for m in range(1, 26):
                 ds = construct_min_tdet(m, n)
                 assert tdet(ds.matrix).value == lower_bound_L(m, n).value
+
+    def test_hard_case_block_is_dealt(self):
+        # the dealt block meets the plan's marginals exactly and is as
+        # flat as they allow: two adjacent values per row and per column
+        cases = [
+            (m, n) for n in range(2, 30) for m in range(1, 80) if is_hard(m, n)
+        ]
+        for m, n in cases + [(3750, 3000), (15002, 3000)]:
+            plan = plan_hard_case(m, n)
+            ds = construct_min_tdet(m, n)
+            block = ds.matrix.array[: plan.l1, : plan.l2]
+            assert block.sum(axis=1).tolist() == list(plan.row_targets)
+            assert block.sum(axis=0).tolist() == list(plan.col_targets)
+            assert (block.max(axis=1) - block.min(axis=1) <= 1).all()
+            assert (block.max(axis=0) - block.min(axis=0) <= 1).all()
+            if n <= 7:
+                best = brute_assignment(ds.matrix, "max").value
+                assert best == lower_bound_L(m, n).value
+
+    @pytest.mark.parametrize("m,n", [(3750, 3000), (15002, 3000)])
+    def test_sharpness_premises_at_scale(self, m, n):
+        # construct_min_tdet's docstring derives tdet <= q*n + l1 + l2 from
+        # these block shapes alone
+        q = split(m, n).q
+        plan = plan_hard_case(m, n)
+        l1, l2 = plan.l1, plan.l2
+        a = construct_min_tdet(m, n).matrix.array
+        assert (a[:l1, :l2] <= q).all()
+        assert (a[:l1, l2:] <= q + 1).all()
+        assert (a[l1:, :l2] <= q + 1).all()
+        assert (a[l1:, l2:] == q).all()
+        assert q * n + l1 + l2 == lower_bound_L(m, n).value
 
 
 class TestMaxTropdet:
