@@ -3,7 +3,8 @@
 Subcommands: bounds, construct, tdet, tropdet, verify, enumerate, rubik,
 zero-block, random.  Results go to stdout (plain text by default, one JSON
 document with --format structured); diagnostics go to stderr.  Exit codes:
-0 success, 1 domain or input failure, 2 usage error.
+0 success, 1 domain or input failure (also a MemoryError, RecursionError
+or OverflowError, reported on one line), 2 usage error.
 
 Human-readable output prints permutations and index sets 1-indexed;
 structured output is 0-indexed.  The enumeration visit budget can be
@@ -30,7 +31,15 @@ from .enumerate_ds import (
     random_ds,
 )
 from .errors import LineSumError, MatrixParseError, MatrixShapeError, TropdetError
-from .matrices import DSMatrix, IntMatrix, parse_matrix, serialize, split, validate_ds
+from .matrices import (
+    DSMatrix,
+    IntMatrix,
+    parse_matrix,
+    serialize,
+    split,
+    structured_doc,
+    validate_ds,
+)
 
 BUDGET_ENV_VAR = "TROPDET_MAX_VISITS"
 
@@ -92,10 +101,6 @@ def _bound_doc(res: BoundsResult) -> dict:
     }
 
 
-def _matrix_doc(ds: DSMatrix) -> dict:
-    return json.loads(serialize(ds, "structured"))
-
-
 def _cmd_bounds(args) -> int:
     p = split(args.m, args.n)
     low = lower_bound_L(args.m, args.n)
@@ -139,7 +144,7 @@ def _cmd_construct(args) -> int:
                 "case": res.case_tag.value,
                 "bound": res.value,
                 "achieved": achieved,
-                "matrix": _matrix_doc(ds),
+                "matrix": structured_doc(ds),
             }
         )
         return 0
@@ -242,7 +247,7 @@ def _cmd_enumerate(args) -> int:
                 "stat": args.stat,
                 "extremum": stats.extremum,
                 "count": stats.count,
-                "witness": _matrix_doc(stats.witness),
+                "witness": structured_doc(stats.witness),
             }
         )
         return 0
@@ -263,7 +268,7 @@ def _cmd_rubik(args) -> int:
                 "colors": args.colors,
                 "stickers_per_face": args.stickers_per_face,
                 "answer": answer,
-                "witness": _matrix_doc(witness),
+                "witness": structured_doc(witness),
             }
         )
         return 0
@@ -309,7 +314,7 @@ def _cmd_zero_block(args) -> int:
 def _cmd_random(args) -> int:
     ds = random_ds(args.m, args.n, args.seed)
     if args.format == "structured":
-        doc = _matrix_doc(ds)
+        doc = structured_doc(ds)
         doc["seed"] = args.seed
         _emit_json(doc)
         return 0
@@ -412,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except TropdetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, RecursionError, OverflowError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 1
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "check_entry_limit",
     "parse_matrix",
     "serialize",
+    "structured_doc",
     "validate_ds",
     "split",
 ]
@@ -218,14 +219,82 @@ def validate_ds(matrix: IntMatrix) -> DSMatrix:
     return DSMatrix(matrix=matrix, m=int(matrix.array[:1].sum()))
 
 
+# Powers 10**1 .. 10**18: an int64 entry has one digit more than the
+# number of these it reaches.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+# Entries rendered per pass: each int64 temporary stays near 0.5 MB.
+_CHUNK = 1 << 16
+
+
+def _render_rows(a: np.ndarray) -> str:
+    """Canonical text of a non-empty int64 block: single spaces, LF rows."""
+    flat = a.ravel()
+    ndig = np.searchsorted(_POW10, flat, side="right") + 1
+    ends = np.cumsum(ndig + 1)  # one past each entry's trailing separator
+    buf = np.full(int(ends[-1]) - 1, ord(" "), dtype=np.uint8)
+    buf[ends[a.shape[1] - 1 : -1 : a.shape[1]] - 1] = ord("\n")
+    # Digits go in right to left.  Every entry has at least `sure` of
+    # them; past that, entries whose quotient reached 0 are dropped.
+    # (np.divmod on int64 is several times slower than // here.)
+    v, pos, sure = flat, ends - 2, int(ndig.min())
+    while v.size:
+        q = v // 10
+        buf[pos] = v - 10 * q + ord("0")
+        pos -= 1
+        sure -= 1
+        if sure > 0:
+            v = q
+        else:
+            live = np.flatnonzero(q > 0)
+            v, pos = q[live], pos[live]
+    return buf.tobytes().decode("ascii")
+
+
+def _render(a: np.ndarray) -> str:
+    """Plain text of an int64 matrix, rendered a chunk of rows at a time."""
+    rows, cols = a.shape
+    if a.size == 0:
+        return "\n" * max(rows - 1, 0)
+    step = max(1, _CHUNK // cols)
+    return "\n".join(_render_rows(a[i : i + step]) for i in range(0, rows, step))
+
+
+def _parse_canonical(body: str) -> np.ndarray | None:
+    """Entries of canonical text (single spaces, LF rows, canonical
+    decimals), or None for any other text.
+
+    The parse is accepted only when re-rendering it gives ``body`` byte for
+    byte, which proves that no token overflowed or was written
+    non-canonically and that no row is blank or ragged.  The charset check
+    comes first: it keeps every input on which ``fromstring`` could warn
+    away from it.
+    """
+    if not body or not body.isascii():
+        return None
+    if body.encode("ascii").translate(None, b"0123456789 \n"):
+        return None
+    width = len(body.partition("\n")[0].split())
+    if width == 0:
+        return None
+    flat = np.fromstring(body, dtype=np.int64, sep=" ")
+    if flat.size % width:
+        return None
+    a = flat.reshape(-1, width)
+    return a if _render(a) == body else None
+
+
 def parse_matrix(text: str) -> IntMatrix:
     """Parse the plain interchange format.
 
     One matrix row per line, entries are decimal non-negative integers
     separated by whitespace.  LF and CRLF both work; trailing blank lines
     are ignored.  Anything else (empty input, ragged rows, negative or
-    non-integer tokens) raises.
+    non-integer tokens) raises.  Canonical text, as ``serialize`` writes
+    it, is parsed by numpy in one pass; other text goes token by token.
     """
+    fast = _parse_canonical(text.rstrip("\n"))
+    if fast is not None:
+        return IntMatrix(*fast.shape, fast)
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -254,26 +323,25 @@ def parse_matrix(text: str) -> IntMatrix:
     return IntMatrix(len(rows), width, rows)
 
 
+def structured_doc(matrix: IntMatrix | DSMatrix) -> dict:
+    """The structured format as a dict: rows, cols, the row-major entries,
+    and m when the input is a certified DSMatrix."""
+    a = matrix.matrix.array if isinstance(matrix, DSMatrix) else matrix.array
+    doc: dict = {"rows": a.shape[0], "cols": a.shape[1], "entries": a.ravel().tolist()}
+    if isinstance(matrix, DSMatrix):
+        doc["m"] = matrix.m
+    return doc
+
+
 def serialize(matrix: IntMatrix | DSMatrix, fmt: str = "plain") -> str:
     """Render a matrix in the plain or structured (JSON) format.
 
-    Plain output round-trips through parse_matrix.  Structured output
-    carries rows, cols and the row-major entries, plus m when the input is
-    a certified DSMatrix.
+    Plain output round-trips through parse_matrix.  Structured output is
+    ``structured_doc`` as JSON.
     """
-    m: int | None = None
-    if isinstance(matrix, DSMatrix):
-        m = matrix.m
-        matrix = matrix.matrix
     if fmt == "plain":
-        return "\n".join(" ".join(map(str, row)) for row in matrix.to_nested())
+        a = matrix.matrix.array if isinstance(matrix, DSMatrix) else matrix.array
+        return _render(a)
     if fmt == "structured":
-        doc: dict = {
-            "rows": matrix.rows,
-            "cols": matrix.cols,
-            "entries": matrix.array.ravel().tolist(),
-        }
-        if m is not None:
-            doc["m"] = m
-        return json.dumps(doc)
+        return json.dumps(structured_doc(matrix))
     raise DomainError(f"unknown format {fmt!r} (expected 'plain' or 'structured')")

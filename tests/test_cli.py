@@ -329,3 +329,30 @@ class TestRandom:
         assert doc["seed"] == 11
         assert doc["m"] == 4
         assert len(doc["entries"]) == 9
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "exc,line",
+        [
+            (MemoryError(), "error: MemoryError\n"),
+            (
+                RecursionError("maximum recursion depth exceeded"),
+                "error: RecursionError: maximum recursion depth exceeded\n",
+            ),
+            (
+                OverflowError("Python int too large to convert to C long"),
+                "error: OverflowError: Python int too large to convert to C long\n",
+            ),
+        ],
+        ids=["memory", "recursion", "overflow"],
+    )
+    def test_resource_errors_exit_1_with_one_line(
+        self, capsys, monkeypatch, exc, line
+    ):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr("tropdet.cli._cmd_bounds", fail)
+        code, out, err = run(capsys, "bounds", "--m", "7", "--n", "6")
+        assert (code, out, err) == (1, "", line)

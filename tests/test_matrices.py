@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,141 @@ from tropdet import (
     split,
     validate_ds,
 )
+from tropdet.matrices import _CHUNK, _parse_canonical
+
+
+# Outcomes of parse_matrix recorded from the per-token parser before the
+# numpy fast path existed: (name, text, fast, outcome), where outcome is
+# ("ok", rows) or (exception type name, message).  `fast` marks the
+# canonical texts that the numpy path accepts; every other text must fall
+# through to the per-token loop.
+BAD = "(decimal non-negative integers only)"
+LIMIT = (
+    "per line can sum past the int64 limit: "
+    "need max entry * max(rows, cols) <= 2**63 - 1"
+)
+I2 = [[1, 0], [0, 1]]
+PARSE_TABLE = [
+    ("canonical", "1 2\n3 4\n", True, ("ok", [[1, 2], [3, 4]])),
+    ("zeros", "0 0\n0 0", True, ("ok", [[0, 0], [0, 0]])),
+    ("crlf", "1 0\r\n0 1\r\n", False, ("ok", I2)),
+    ("crlf_trailing_space", "1 0 \r\n0 1\r\n", False, ("ok", I2)),
+    ("tabs", "1\t0\n0\t1", False, ("ok", I2)),
+    ("double_space", "1  0\n0  1", False, ("ok", I2)),
+    ("leading_space", " 1 0\n 0 1", False, ("ok", I2)),
+    ("trailing_space", "1 0 \n0 1 ", False, ("ok", I2)),
+    ("leading_zeros", "01 00\n00 01", False, ("ok", I2)),
+    ("trailing_blank_lines", "1 0\n0 1\n\n  \n", False, ("ok", I2)),
+    ("blank_middle_line", "1 0\n\n0 1", False,
+     ("MatrixParseError", "line 2 is blank")),
+    ("leading_newline", "\n1 2", False,
+     ("MatrixParseError", "line 1 is blank")),
+    ("ragged", "1 2\n3", False,
+     ("MatrixShapeError", "row 2 has 1 entries, expected 2")),
+    ("ragged_long", "1\n2 3", False,
+     ("MatrixShapeError", "row 2 has 2 entries, expected 1")),
+    ("negative", "1 -2\n3 4", False,
+     ("MatrixParseError", f"line 1: bad token '-2' {BAD}")),
+    ("decimal", "1 2.5\n3 4", False,
+     ("MatrixParseError", f"line 1: bad token '2.5' {BAD}")),
+    ("letter", "a", False, ("MatrixParseError", f"line 1: bad token 'a' {BAD}")),
+    ("arabic_digit", "1 \u0663\n3 4", False,
+     ("MatrixParseError", f"line 1: bad token '\u0663' {BAD}")),
+    ("int64_max", "9223372036854775807", True,
+     ("ok", [[9223372036854775807]])),
+    ("int64_max_2x2", "9223372036854775807 0\n0 1", True,
+     ("DomainError", f"entries up to 9223372036854775807 with 2 {LIMIT}")),
+    ("entry_limit_2x2", "4611686018427387903 0\n0 4611686018427387903", True,
+     ("ok", [[4611686018427387903, 0], [0, 4611686018427387903]])),
+    ("past_entry_limit_2x2", "4611686018427387904 0\n0 4611686018427387904", True,
+     ("DomainError", f"entries up to 4611686018427387904 with 2 {LIMIT}")),
+    ("nineteen_digits", "1000000000000000000 0\n0 1000000000000000000", True,
+     ("ok", [[1000000000000000000, 0], [0, 1000000000000000000]])),
+    ("two_pow_63", "9223372036854775808", False,
+     ("DomainError", f"entries up to 9223372036854775808 with 1 {LIMIT}")),
+    ("twenty_digits", "12345678901234567890", False,
+     ("DomainError", f"entries up to 12345678901234567890 with 1 {LIMIT}")),
+    ("twenty_one_digits", "123456789012345678901", False,
+     ("MatrixParseError",
+      "entries must be integers in [0, 2**63 - 1], got object values")),
+    ("empty", "", False, ("MatrixParseError", "empty input")),
+    ("spaces_only", "   ", False, ("MatrixParseError", "empty input")),
+    ("newlines_only", "\n\n", False, ("MatrixParseError", "empty input")),
+    ("whitespace_only", " \n\t\n", False, ("MatrixParseError", "empty input")),
+]
+
+
+def plain_reference(a: IntMatrix) -> str:
+    """The per-token plain renderer that the numpy one replaced."""
+    return "\n".join(" ".join(map(str, r)) for r in a.array.tolist())
+
+
+@st.composite
+def int_matrices(draw):
+    """Matrices up to 6 x 6, empty shapes included, with entries anywhere
+    up to the int64 entry limit for their shape."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    top = (2**63 - 1) // max(rows, cols, 1)
+    entry = st.one_of(st.integers(0, 12), st.integers(0, top), st.just(top))
+    size = rows * cols
+    return IntMatrix(rows, cols, draw(st.lists(entry, min_size=size, max_size=size)))
+
+
+class TestPlainFormat:
+    """The numpy parse and render against the per-token ones.  pyproject
+    turns every warning into an error, so none may escape either."""
+
+    @pytest.mark.parametrize(
+        "text,fast,outcome",
+        [row[1:] for row in PARSE_TABLE],
+        ids=[row[0] for row in PARSE_TABLE],
+    )
+    def test_parse_matches_per_token_parser(self, text, fast, outcome):
+        assert (_parse_canonical(text.rstrip("\n")) is not None) == fast
+        kind, expected = outcome
+        if kind == "ok":
+            assert parse_matrix(text) == mat(expected)
+            return
+        with pytest.raises(Exception) as err:
+            parse_matrix(text)
+        assert type(err.value).__name__ == kind
+        assert str(err.value) == expected
+
+    @given(int_matrices())
+    def test_render_and_round_trip(self, a):
+        text = serialize(a)
+        assert text == plain_reference(a)
+        if a.array.size:
+            assert _parse_canonical(text) is not None
+            assert parse_matrix(text) == a
+            assert parse_matrix(text + "\n") == a
+
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [
+            (1, 70000),
+            (70000, 1),
+            (_CHUNK // 1000 - 1, 1000),
+            (_CHUNK // 1000, 1000),
+            (_CHUNK // 1000 + 1, 1000),
+            (2 * (_CHUNK // 1000) + 1, 1000),
+            (3, 0),
+            (0, 3),
+        ],
+    )
+    def test_render_and_round_trip_across_chunks(self, rows, cols):
+        rng = np.random.default_rng(rows * 100003 + cols)
+        top = (2**63 - 1) // max(rows, cols)
+        # Entries of every digit count up to the limit's, and the limit.
+        shift = 10 ** rng.integers(0, 19, size=(rows, cols))
+        values = rng.integers(0, top, size=(rows, cols)) // shift
+        if values.size:
+            values.flat[-1] = top
+        a = IntMatrix(rows, cols, values)
+        text = serialize(a)
+        assert text == plain_reference(a)
+        if a.array.size:
+            assert parse_matrix(text) == a
 
 
 class TestParse:
