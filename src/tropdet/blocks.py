@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import MatrixShapeError
 from .matrices import IntMatrix
@@ -30,6 +28,11 @@ def _match_rows(above: np.ndarray) -> np.ndarray:
     """Hopcroft-Karp maximum matching of the bipartite graph ``above``
     (row i joined to column j where above[i, j]): the matched column of
     each row, -1 for unmatched rows."""
+    # scipy.sparse is most of the package's import time, and only the
+    # matchers need it.
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     rows, cols = above.nonzero()
     indptr = np.searchsorted(rows, np.arange(above.shape[0] + 1))
     graph = csr_array(

@@ -4,8 +4,11 @@ Matrices are generated row by row in ascending lexicographic (row-major)
 order.  Each candidate row is a composition of m into n parts; a partial
 matrix survives only while every column remainder stays between 0 and
 m * rows_left, which makes every visited prefix completable (the final row
-is forced to equal the column remainders).  A visit budget caps the work;
-blowing it raises BudgetExceededError with the progress so far.
+is forced to equal the column remainders).  `enumerate_D` visits every
+member; `count_D`, `brute_L` and `brute_U` visit one member per row orbit,
+weighted by the orbit size, since permuting rows changes neither tdet
+nor tropdet.  A visit budget, counted in members, caps the work; blowing
+it raises BudgetExceededError with the progress so far.
 """
 
 from __future__ import annotations
@@ -58,21 +61,23 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _visit_flat(
-    m: int, n: int, budget: int, sink: Callable[[tuple[int, ...]], None]
-) -> int:
-    """Feed every member of D(m, n), flattened row-major, to sink."""
+def _row_pool(m: int, n: int, budget: int) -> tuple[tuple[int, ...], ...]:
+    """The candidate rows, after both walks' up-front checks."""
     split(m, n)  # domain check
     if budget < 1:
         raise BudgetExceededError(0, budget)
-    if n == 1:
-        sink((m,))
-        return 1
     # Each first row extends to at least one member, so the row pool size
     # is a lower bound on the total count: refuse before materializing.
     if math.comb(m + n - 1, n - 1) > budget:
         raise BudgetExceededError(0, budget)
-    pool = _compositions(m, n)
+    return _compositions(m, n)
+
+
+def _visit_flat(
+    m: int, n: int, budget: int, sink: Callable[[tuple[int, ...]], None]
+) -> int:
+    """Feed every member of D(m, n), flattened row-major, to sink."""
+    pool = _row_pool(m, n, budget)
     count = 0
 
     def rec(placed: int, col_rem: tuple[int, ...], acc: tuple[int, ...]):
@@ -86,14 +91,12 @@ def _visit_flat(
         cap = m * (n - placed - 1)
         for row in pool:
             new_rem = []
-            ok = True
             for c, x in zip(col_rem, row):
                 d = c - x
                 if d < 0 or d > cap:
-                    ok = False
                     break
                 new_rem.append(d)
-            if ok:
+            else:
                 rec(placed + 1, tuple(new_rem), acc + row)
 
     rec(0, (m,) * n, ())
@@ -111,17 +114,67 @@ def enumerate_D(
     return _visit_flat(m, n, budget, lambda flat: visitor(IntMatrix(n, n, flat)))
 
 
+def _visit_orbits(
+    m: int, n: int, budget: int, sink: Callable[[tuple[int, ...], int], None]
+) -> int:
+    """Feed sink the row-sorted member of every row orbit of D(m, n),
+    flattened row-major, with the orbit size n! / prod(multiplicity!) over
+    its distinct rows; return |D(m, n)|.
+
+    Members are fed in ascending row-major order, and an orbit's row-sorted
+    member is its lex-smallest, so the first member fed with a row-invariant
+    property (a tdet or tropdet value) is the lex-first in all of D(m, n).
+    The budget counts members: the walk stops once the orbit sizes pass it.
+    """
+    pool = _row_pool(m, n, budget)
+    fact = math.factorial(n)
+    total = 0
+
+    # prev: pool index of the last placed row, run: how often it was placed
+    # in a row so far, denom: prod(multiplicity!) of the placed rows.
+    def rec(placed, prev, run, denom, col_rem, acc):
+        nonlocal total
+        if placed == n - 1:
+            if col_rem < pool[prev]:
+                return
+            if col_rem == pool[prev]:
+                denom *= run + 1
+            weight = fact // denom
+            total += weight
+            if total > budget:
+                raise BudgetExceededError(budget, budget)
+            sink(acc + col_rem, weight)
+            return
+        cap = m * (n - placed - 1)
+        for j in range(prev, len(pool)):
+            row = pool[j]
+            # The rows left are >= row, so each takes at least row[0] from
+            # column 0; pool order is ascending in row[0].
+            if row[0] * (n - placed) > col_rem[0]:
+                break
+            new_rem = []
+            for c, x in zip(col_rem, row):
+                d = c - x
+                if d < 0 or d > cap:
+                    break
+                new_rem.append(d)
+            else:
+                mult = run + 1 if j == prev else 1
+                rec(placed + 1, j, mult, denom * mult, tuple(new_rem), acc + row)
+
+    rec(0, 0, 0, 1, (m,) * n, ())
+    return total
+
+
 def count_D(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> int:
-    """|D(m, n)| by plain enumeration."""
-    return _visit_flat(m, n, budget, lambda flat: None)
+    """|D(m, n)|, as the sum of the row-orbit sizes."""
+    return _visit_orbits(m, n, budget, lambda flat, weight: None)
 
 
 @functools.lru_cache(maxsize=None)
 def _perm_indices(n: int) -> np.ndarray:
-    perms = list(itertools.permutations(range(n)))
-    return np.array(
-        [[i * n + p[i] for i in range(n)] for p in perms], dtype=np.intp
-    )
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    return np.arange(n) * n + perms
 
 
 def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
@@ -131,38 +184,33 @@ def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
     idx = _perm_indices(n)
     batch_cap = max(64, 4_000_000 // max(1, idx.shape[0] * n))
     batch: list[tuple[int, ...]] = []
-    best_value: int | None = None
+    # tdet is the per-matrix maximum, to be minimized; tropdet is the
+    # per-matrix minimum, to be maximized, which is minimizing the maximum
+    # of the negated sums.  argmin keeps the first of equal keys.
+    sign = 1 if minimize else -1
+    best_key: int | None = None
     best_flat: tuple[int, ...] | None = None
 
     def flush():
-        nonlocal best_value, best_flat
+        nonlocal best_key, best_flat
         if not batch:
             return
-        arr = np.array(batch, dtype=np.int64)
-        table = arr[:, idx].sum(axis=2)
-        if minimize:  # minimize the per-matrix maximum (tdet)
-            per = table.max(axis=1)
-            pos = int(per.argmin())
-            cand = int(per[pos])
-            better = best_value is None or cand < best_value
-        else:  # maximize the per-matrix minimum (tropdet)
-            per = table.min(axis=1)
-            pos = int(per.argmax())
-            cand = int(per[pos])
-            better = best_value is None or cand > best_value
-        if better:
-            best_value = cand
-            best_flat = batch[pos]
+        table = sign * np.array(batch, dtype=np.int64)[:, idx].sum(axis=2)
+        per = table.max(axis=1)
+        pos = int(per.argmin())
+        if best_key is None or per[pos] < best_key:
+            best_key, best_flat = int(per[pos]), batch[pos]
         batch.clear()
 
-    def sink(flat: tuple[int, ...]):
+    def sink(flat: tuple[int, ...], weight: int):
         batch.append(flat)
         if len(batch) >= batch_cap:
             flush()
 
-    count = _visit_flat(m, n, budget, sink)
+    count = _visit_orbits(m, n, budget, sink)
     flush()
-    assert best_value is not None and best_flat is not None
+    assert best_key is not None and best_flat is not None
+    best_value = sign * best_key
     witness = validate_ds(IntMatrix(n, n, best_flat))
     check = tdet(witness.matrix) if minimize else tropdet(witness.matrix)
     assert check.value == best_value

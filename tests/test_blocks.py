@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -233,3 +238,33 @@ class TestDoublyStochastic:
         found, pairs = has_transversal_above(a, 0)
         assert found and len(pairs) == 1000
         assert all(a.at(i, j) > 0 for i, j in pairs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bounds", "--m", "7", "--n", "5"],
+        ["enumerate", "--m", "3", "--n", "4", "--stat", "count"],
+    ],
+)
+def test_scipy_sparse_left_unloaded(argv):
+    # scipy.sparse is most of the package's import time; only the matchers
+    # need it, so neither the import nor commands without a matching should
+    # pay for it
+    src = str(Path(sys.modules["tropdet"].__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, tropdet.cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert tropdet.cli.main(sys.argv[1:]) == 0\n"
+        "print('scipy.sparse' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "False"

@@ -1,5 +1,7 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from tropdet import (
@@ -102,6 +104,26 @@ class TestCounting:
         with pytest.raises(DomainError):
             count_D(0, 3)
 
+    def test_macmahon_three_by_three(self):
+        for m in range(1, 31):
+            assert count_D(m, 3) == math.comb(m + 2, 2) + 3 * math.comb(m + 3, 4)
+
+    # OEIS A000681: n x n matrices of nonnegative integers, line sums 2.
+    @pytest.mark.parametrize(
+        "n,expected",
+        enumerate([1, 3, 21, 282, 6210, 202410, 9135630], start=1),
+    )
+    def test_line_sums_two(self, n, expected):
+        assert count_D(2, n) == expected
+
+    # OEIS A001496: 4 x 4 matrices of nonnegative integers, line sums m.
+    @pytest.mark.parametrize(
+        "m,expected",
+        enumerate([24, 282, 2008, 10147, 40176, 132724, 381424, 981541], start=1),
+    )
+    def test_four_by_four(self, m, expected):
+        assert count_D(m, 4) == expected
+
 
 class TestBudget:
     def test_upfront_refusal(self):
@@ -124,6 +146,19 @@ class TestBudget:
     def test_nonpositive_budget(self):
         with pytest.raises(BudgetExceededError):
             count_D(1, 2, budget=0)
+
+    # |D(3, 4)| = 2008 members in far fewer row orbits: the budget counts
+    # members all the same.
+    @pytest.mark.parametrize("walk", [count_D, brute_L])
+    def test_budget_counts_members_not_orbits(self, walk):
+        with pytest.raises(BudgetExceededError) as err:
+            walk(3, 4, budget=2007)
+        assert err.value.visited == 2007
+        assert err.value.budget == 2007
+
+    def test_member_budget_exactly_sufficient(self):
+        assert count_D(3, 4, budget=2008) == 2008
+        assert brute_L(3, 4, budget=2008).count == 2008
 
 
 class TestBruteExtremes:
@@ -166,6 +201,50 @@ class TestBruteExtremes:
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):
             brute_L(2, 3, budget=5)
+
+
+def unreduced_extremes(m, n):
+    """|D(m, n)| and, for tdet's minimum and tropdet's maximum, the value
+    and the first member attaining it, from every member in enumerate_D's
+    order and every permutation from itertools."""
+    members = np.array([a.entries for a in collect(m, n)], dtype=np.int64)
+    cells = np.array(
+        [[i * n + p[i] for i in range(n)] for p in itertools.permutations(range(n))]
+    )
+    sums = members[:, cells].sum(axis=2)
+    tdets, tropdets = sums.max(axis=1), sums.min(axis=1)
+    low, high = int(tdets.argmin()), int(tropdets.argmax())
+    return (
+        len(members),
+        (int(tdets[low]), tuple(members[low].tolist())),
+        (int(tropdets[high]), tuple(members[high].tolist())),
+    )
+
+
+# The acceptance oracle grid's cells with n <= 3, its n = 4 cells with
+# m <= 4, and (2, 5).
+UNREDUCED_CELLS = (
+    [(m, n) for n in (2, 3) for m in range(1, 9)]
+    + [(m, 4) for m in range(1, 5)]
+    + [(2, 5)]
+)
+
+
+class TestRowOrbitWalk:
+    """count_D, brute_L and brute_U walk one member per row orbit; the
+    unreduced walk is the reference."""
+
+    @pytest.mark.parametrize("m,n", UNREDUCED_CELLS)
+    def test_matches_unreduced_walk(self, m, n):
+        count, (low, low_witness), (high, high_witness) = unreduced_extremes(m, n)
+        assert count_D(m, n) == count
+        for stats, value, witness in (
+            (brute_L(m, n), low, low_witness),
+            (brute_U(m, n), high, high_witness),
+        ):
+            assert stats.count == count
+            assert stats.extremum == value
+            assert stats.witness.matrix.entries == witness
 
 
 class TestRandom:
