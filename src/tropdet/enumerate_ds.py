@@ -1,14 +1,14 @@
 """Exhaustive enumeration of D(m, n) and brute-force extremes.
 
-Matrices are generated row by row in ascending lexicographic (row-major)
-order.  Each candidate row is a composition of m into n parts; a partial
-matrix survives only while every column remainder stays between 0 and
-m * rows_left, which makes every visited prefix completable (the final row
-is forced to equal the column remainders).  `enumerate_D` visits every
-member; `count_D`, `brute_L` and `brute_U` visit one member per row orbit,
-weighted by the orbit size, since permuting rows changes neither tdet
-nor tropdet.  A visit budget, counted in members, caps the work; blowing
-it raises BudgetExceededError with the progress so far.
+Matrices are built row by row, in ascending row-major order, from the
+compositions of m into n parts.  A prefix survives only while every column
+remainder stays between 0 and m * rows_left, so it completes (the last row
+is forced).  `enumerate_D` visits every member; `count_D` counts them,
+memoised on the sorted column remainders; `brute_L` and `brute_U` branch
+and bound over the members with sorted rows, one per row orbit, since
+permuting rows changes neither tdet nor tropdet.  A budget, counted in
+members, caps the work: `enumerate_D` stops after that many, and the
+others refuse once a count passes it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .assignment import tdet, tropdet
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError
 from .matrices import DSMatrix, IntMatrix, split, validate_ds
 
 __all__ = [
@@ -52,13 +52,13 @@ class EnumStats:
 
 @functools.lru_cache(maxsize=None)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    """The compositions of total into parts, ascending: stars and bars,
+    whose bar positions ascend with the composition."""
+    ends = total + parts - 1
+    return tuple(
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (ends,)))
+        for bars in itertools.combinations(range(ends), parts - 1)
+    )
 
 
 def _row_pool(m: int, n: int, budget: int) -> tuple[tuple[int, ...], ...]:
@@ -88,16 +88,8 @@ def _visit_flat(
                 raise BudgetExceededError(count - 1, budget)
             sink(acc + col_rem)
             return
-        cap = m * (n - placed - 1)
-        for row in pool:
-            new_rem = []
-            for c, x in zip(col_rem, row):
-                d = c - x
-                if d < 0 or d > cap:
-                    break
-                new_rem.append(d)
-            else:
-                rec(placed + 1, tuple(new_rem), acc + row)
+        for j, rest in _placements(pool, 0, col_rem, m * (n - placed - 1), m):
+            rec(placed + 1, rest, acc + pool[j])
 
     rec(0, (m,) * n, ())
     return count
@@ -114,107 +106,115 @@ def enumerate_D(
     return _visit_flat(m, n, budget, lambda flat: visitor(IntMatrix(n, n, flat)))
 
 
-def _visit_orbits(
-    m: int, n: int, budget: int, sink: Callable[[tuple[int, ...], int], None]
-) -> int:
-    """Feed sink the row-sorted member of every row orbit of D(m, n),
-    flattened row-major, with the orbit size n! / prod(multiplicity!) over
-    its distinct rows; return |D(m, n)|.
-
-    Members are fed in ascending row-major order, and an orbit's row-sorted
-    member is its lex-smallest, so the first member fed with a row-invariant
-    property (a tdet or tropdet value) is the lex-first in all of D(m, n).
-    The budget counts members: the walk stops once the orbit sizes pass it.
-    """
-    pool = _row_pool(m, n, budget)
-    fact = math.factorial(n)
-    total = 0
-
-    # prev: pool index of the last placed row, run: how often it was placed
-    # in a row so far, denom: prod(multiplicity!) of the placed rows.
-    def rec(placed, prev, run, denom, col_rem, acc):
-        nonlocal total
-        if placed == n - 1:
-            if col_rem < pool[prev]:
-                return
-            if col_rem == pool[prev]:
-                denom *= run + 1
-            weight = fact // denom
-            total += weight
-            if total > budget:
-                raise BudgetExceededError(budget, budget)
-            sink(acc + col_rem, weight)
+def _placements(pool, start, col_rem, cap, top):
+    """(index, column remainders after it) for each row of pool[start:] that
+    keeps every remainder in [0, cap], until a first entry passes top."""
+    for j in range(start, len(pool)):
+        if pool[j][0] > top:
             return
-        cap = m * (n - placed - 1)
-        for j in range(prev, len(pool)):
-            row = pool[j]
-            # The rows left are >= row, so each takes at least row[0] from
-            # column 0; pool order is ascending in row[0].
-            if row[0] * (n - placed) > col_rem[0]:
+        rest = []
+        for c, x in zip(col_rem, pool[j]):
+            d = c - x
+            if d < 0 or d > cap:
                 break
-            new_rem = []
-            for c, x in zip(col_rem, row):
-                d = c - x
-                if d < 0 or d > cap:
-                    break
-                new_rem.append(d)
-            else:
-                mult = run + 1 if j == prev else 1
-                rec(placed + 1, j, mult, denom * mult, tuple(new_rem), acc + row)
-
-    rec(0, 0, 0, 1, (m,) * n, ())
-    return total
+            rest.append(d)
+        else:
+            yield j, tuple(rest)
 
 
 def count_D(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> int:
-    """|D(m, n)|, as the sum of the row-orbit sizes."""
-    return _visit_orbits(m, n, budget, lambda flat, weight: None)
+    """|D(m, n)|, memoised on the rows left and the sorted column remainders
+    (permuting columns keeps the count); a count past the budget raises."""
+    pool = _row_pool(m, n, budget)
+
+    @functools.cache
+    def rec(left: int, col_rem: tuple[int, ...]) -> int:
+        if left == 1:
+            return 1
+        total = 0
+        for _, rest in _placements(pool, 0, col_rem, m * (left - 1), m):
+            total += rec(left - 1, tuple(sorted(rest)))
+            # A partial count is <= |D(m, n)|: refuse once it passes budget.
+            if total > budget:
+                raise BudgetExceededError(budget, budget)
+        return total
+
+    return rec(n, (m,) * n)
 
 
 @functools.lru_cache(maxsize=None)
-def _perm_indices(n: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    return np.arange(n) * n + perms
+def _subsets(n: int) -> tuple:
+    """For k = 0..n, the k-subsets S of range(n) in combinations order, each
+    as the pairs (j, index of S - {j} in level k - 1) over j in S."""
+    levels = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    return tuple(
+        tuple(
+            tuple((j, levels[k - 1].index(tuple(c for c in s if c != j))) for j in s)
+            for s in level
+        )
+        for k, level in enumerate(levels)
+    )
+
+
+def _extend(g: list[int], row: tuple[int, ...], level: tuple) -> list[int]:
+    """From g over the k-subsets, g over the (k + 1)-subsets after row."""
+    return [max([g[p] + row[j] for j, p in links]) for links in level]
+
+
+def _prefix_bound(g, level, col_rem, left: int, sign: int) -> int:
+    """A lower bound on the largest transversal of sign * a over every
+    member a that completes the placed rows, exact with one row left.
+
+    g[i] is the placed rows' largest partial transversal of sign * a into
+    the i-th subset S of `level`.  Over the bijections from the `left` rows
+    still to place to the columns outside S, their transversal averages
+    the sum of col_rem outside S over left; the best is at least the
+    ceiling of that average.
+    """
+    total = sum(col_rem)
+    outside = [total - sum([col_rem[j] for j, _ in links]) for links in level]
+    return max([v - (-sign * r // left) for v, r in zip(g, outside)])
 
 
 def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
-    # Transversal extremes are evaluated over whole batches at once: for
-    # each of the n! permutations, one flat gather per batch.  Exact
-    # integer arithmetic throughout.
-    idx = _perm_indices(n)
-    batch_cap = max(64, 4_000_000 // max(1, idx.shape[0] * n))
-    batch: list[tuple[int, ...]] = []
-    # tdet is the per-matrix maximum, to be minimized; tropdet is the
-    # per-matrix minimum, to be maximized, which is minimizing the maximum
-    # of the negated sums.  argmin keeps the first of equal keys.
+    """Branch-and-bound over the row-sorted members, in ascending order.
+
+    The key is the largest transversal of sign * a: tdet to minimize, or
+    minus tropdet.  A subtree is cut only when its bound is >= the best key
+    so far, and only a strictly smaller key replaces the best.  Let w be the
+    first member with the optimal key K: every member before it has a larger
+    key, so on the path to w the best key is > K while every bound is <= K;
+    w is reached, and nothing after replaces it.  An orbit's row-sorted
+    member is its lex-smallest, so w is the lex-first attaining member.
+    """
+    count = count_D(m, n, budget)
+    pool = _compositions(m, n)
     sign = 1 if minimize else -1
-    best_key: int | None = None
-    best_flat: tuple[int, ...] | None = None
+    signed = [tuple(sign * x for x in row) for row in pool]
+    levels = _subsets(n)
+    best_key, best_flat = math.inf, ()
 
-    def flush():
+    def rec(placed, prev, g, col_rem, acc):
         nonlocal best_key, best_flat
-        if not batch:
+        left = n - placed
+        bound = _prefix_bound(g, levels[placed], col_rem, left, sign)
+        # The forced last row must not sort before the row above it.
+        if bound >= best_key or (left == 1 and col_rem < pool[prev]):
             return
-        table = sign * np.array(batch, dtype=np.int64)[:, idx].sum(axis=2)
-        per = table.max(axis=1)
-        pos = int(per.argmin())
-        if best_key is None or per[pos] < best_key:
-            best_key, best_flat = int(per[pos]), batch[pos]
-        batch.clear()
+        if left == 1:
+            best_key, best_flat = bound, acc + col_rem
+            return
+        # Each row left is >= pool[j], so takes pool[j][0] or more of column 0.
+        top = col_rem[0] // left
+        for j, rest in _placements(pool, prev, col_rem, m * (left - 1), top):
+            g_next = _extend(g, signed[j], levels[placed + 1])
+            rec(placed + 1, j, g_next, rest, acc + pool[j])
 
-    def sink(flat: tuple[int, ...], weight: int):
-        batch.append(flat)
-        if len(batch) >= batch_cap:
-            flush()
-
-    count = _visit_orbits(m, n, budget, sink)
-    flush()
-    assert best_key is not None and best_flat is not None
-    best_value = sign * best_key
+    rec(0, 0, [0], (m,) * n, ())
+    value = sign * best_key
     witness = validate_ds(IntMatrix(n, n, best_flat))
-    check = tdet(witness.matrix) if minimize else tropdet(witness.matrix)
-    assert check.value == best_value
-    return EnumStats(m=m, n=n, count=count, extremum=best_value, witness=witness)
+    assert (tdet if minimize else tropdet)(witness.matrix).value == value
+    return EnumStats(m=m, n=n, count=count, extremum=value, witness=witness)
 
 
 def brute_L(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> EnumStats:

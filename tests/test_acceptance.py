@@ -39,6 +39,7 @@ ORACLE_GRID = (
     [(m, n) for n in (2, 3, 4) for m in range(1, 9)]
     + [(m, 5) for m in range(1, 5)]
     + [(m, n) for n in (6, 7) for m in (1, 2)]
+    + [(5, 5), (3, 6)]
 )
 
 SWEEP_NS = range(2, 31)

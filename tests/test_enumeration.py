@@ -3,20 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tropdet import (
     BudgetExceededError,
     DomainError,
     IntMatrix,
+    brute_assignment,
     brute_L,
     brute_U,
     count_D,
     enumerate_D,
+    lower_bound_L,
     random_ds,
     tdet,
     tropdet,
+    upper_bound_U,
     validate_ds,
 )
+from tropdet.enumerate_ds import _extend, _prefix_bound, _subsets
 
 
 def collect(m, n, budget=10**6):
@@ -125,6 +131,25 @@ class TestCounting:
         assert count_D(m, 4) == expected
 
 
+# |D(m, n)| recorded with the row-orbit walk (one row-sorted member per
+# orbit, weighted by the orbit size), so these do not rest on the counting
+# DP they check.
+PINNED_COUNTS = {
+    (5, 5): 22_069_251,
+    (3, 6): 20_933_840,
+    (2, 8): 545_007_960,
+    (6, 5): 164_176_640,
+    (7, 5): 976_395_820,
+    (8, 5): 4_855_258_305,
+    (4, 6): 1_047_649_905,
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(PINNED_COUNTS))
+def test_pinned_counts(m, n):
+    assert count_D(m, n, budget=10**10) == PINNED_COUNTS[(m, n)]
+
+
 class TestBudget:
     def test_upfront_refusal(self):
         # the first-row pool alone exceeds the budget, so no work starts
@@ -159,6 +184,13 @@ class TestBudget:
     def test_member_budget_exactly_sufficient(self):
         assert count_D(3, 4, budget=2008) == 2008
         assert brute_L(3, 4, budget=2008).count == 2008
+
+    def test_brute_U_budget_counts_members(self):
+        with pytest.raises(BudgetExceededError) as err:
+            brute_U(3, 4, budget=2007)
+        assert err.value.visited == 2007
+        assert err.value.budget == 2007
+        assert brute_U(3, 4, budget=2008).count == 2008
 
 
 class TestBruteExtremes:
@@ -245,6 +277,44 @@ class TestRowOrbitWalk:
             assert stats.count == count
             assert stats.extremum == value
             assert stats.witness.matrix.entries == witness
+
+
+class TestWiderGrid:
+    """Cells past the default budget: the searches still agree with the
+    closed forms and with the pinned counts."""
+
+    @pytest.mark.parametrize("m,n", [(6, 5), (7, 5), (8, 5), (4, 6)])
+    def test_extremes_match_closed_forms(self, m, n):
+        low = brute_L(m, n, budget=10**10)
+        high = brute_U(m, n, budget=10**10)
+        assert low.extremum == lower_bound_L(m, n).value
+        assert high.extremum == upper_bound_U(m, n).value
+        assert low.count == high.count == PINNED_COUNTS[(m, n)]
+
+
+class TestPrefixBound:
+    """The branch-and-bound's bound, after every prefix of rows of a
+    member, never passes the member's own tdet or tropdet, and is exact
+    once one row is left."""
+
+    @given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_bounds_every_prefix(self, m, n, seed):
+        a = random_ds(m, n, seed=seed).matrix
+        high = brute_assignment(a, "max").value
+        low = brute_assignment(a, "min").value
+        levels = _subsets(n)
+        g_max, g_min, col_rem = [0], [0], [m] * n
+        for k, row in enumerate(a.array.tolist()):
+            left = n - k
+            tdet_bound = _prefix_bound(g_max, levels[k], col_rem, left, 1)
+            tropdet_bound = -_prefix_bound(g_min, levels[k], col_rem, left, -1)
+            assert tdet_bound <= high
+            assert tropdet_bound >= low
+            if left == 1:
+                assert (tdet_bound, tropdet_bound) == (high, low)
+            g_max = _extend(g_max, row, levels[k + 1])
+            g_min = _extend(g_min, [-x for x in row], levels[k + 1])
+            col_rem = [c - x for c, x in zip(col_rem, row)]
 
 
 class TestRandom:
