@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: bounds, construct, tdet, tropdet, verify, enumerate, rubik,
-zero-block, random.  Results go to stdout (plain text by default, one JSON
-document with --format structured); diagnostics go to stderr.  Exit codes:
+zero-block, random.  Each command computes one result, which ``main``
+prints to stdout either as plain text (the default) or, with --format
+structured, as one JSON document; diagnostics go to stderr.  Exit codes:
 0 success, 1 domain or input failure (also a MemoryError, RecursionError
 or OverflowError, reported on one line), 2 usage error.
 
@@ -19,7 +20,9 @@ import os
 import sys
 from pathlib import Path
 
-from .assignment import Transversal, tdet, tropdet
+import numpy as np
+
+from .assignment import tdet, tropdet
 from .blocks import largest_low_block
 from .bounds import BoundsResult, lower_bound_L, rubik_answer, upper_bound_U
 from .construct import construct_max_tropdet, construct_min_tdet
@@ -87,10 +90,6 @@ def _budget() -> int:
     return value
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
-
-
 def _bound_doc(res: BoundsResult) -> dict:
     return {
         "value": res.value,
@@ -101,30 +100,35 @@ def _bound_doc(res: BoundsResult) -> dict:
     }
 
 
-def _cmd_bounds(args) -> int:
+# What every _cmd_* returns: its exit code, its JSON document and its plain
+# lines, computed once.  Matrices stay DSMatrix (or entry array) objects in
+# both; _print_result turns them into text or JSON lists only for the
+# format it prints.
+_Result = tuple[int, dict, list]
+
+
+def _cmd_bounds(args) -> _Result:
     p = split(args.m, args.n)
     low = lower_bound_L(args.m, args.n)
     high = upper_bound_U(args.m, args.n)
-    if args.format == "structured":
-        _emit_json(
-            {
-                "m": p.m,
-                "n": p.n,
-                "q": p.q,
-                "r": p.r,
-                "L": _bound_doc(low),
-                "U": _bound_doc(high),
-            }
-        )
-        return 0
-    print(f"m = {p.m}, n = {p.n}  (q = {p.q}, r = {p.r})")
+    doc = {
+        "m": p.m,
+        "n": p.n,
+        "q": p.q,
+        "r": p.r,
+        "L": _bound_doc(low),
+        "U": _bound_doc(high),
+    }
     suffix = f", l = {low.l}" if low.l is not None else ""
-    print(f"L({p.m},{p.n}) = {low.value}  [case {low.case_tag.value}{suffix}]")
-    print(f"U({p.m},{p.n}) = {high.value}  [case {high.case_tag.value}]")
-    return 0
+    lines = [
+        f"m = {p.m}, n = {p.n}  (q = {p.q}, r = {p.r})",
+        f"L({p.m},{p.n}) = {low.value}  [case {low.case_tag.value}{suffix}]",
+        f"U({p.m},{p.n}) = {high.value}  [case {high.case_tag.value}]",
+    ]
+    return 0, doc, lines
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> _Result:
     if args.objective == "min-tdet":
         ds = construct_min_tdet(args.m, args.n)
         res = lower_bound_L(args.m, args.n)
@@ -135,49 +139,36 @@ def _cmd_construct(args) -> int:
         res = upper_bound_U(args.m, args.n)
         achieved = tropdet(ds.matrix).value
         label = "tropdet"
-    if args.format == "structured":
-        _emit_json(
-            {
-                "m": args.m,
-                "n": args.n,
-                "objective": args.objective,
-                "case": res.case_tag.value,
-                "bound": res.value,
-                "achieved": achieved,
-                "matrix": structured_doc(ds),
-            }
-        )
-        return 0
-    print(f"m = {args.m}, n = {args.n}, objective = {args.objective}")
-    print(serialize(ds))
-    print(f"{label} = {achieved}")
-    print(f"bound = {res.value}  [case {res.case_tag.value}]")
-    return 0
+    doc = {
+        "m": args.m,
+        "n": args.n,
+        "objective": args.objective,
+        "case": res.case_tag.value,
+        "bound": res.value,
+        "achieved": achieved,
+        "matrix": ds,
+    }
+    lines = [
+        f"m = {args.m}, n = {args.n}, objective = {args.objective}",
+        ds,
+        f"{label} = {achieved}",
+        f"bound = {res.value}  [case {res.case_tag.value}]",
+    ]
+    return 0, doc, lines
 
 
-def _print_transversal(which: str, n: int, t: Transversal, fmt: str) -> None:
-    if fmt == "structured":
-        _emit_json(
-            {
-                "which": which,
-                "n": n,
-                "value": t.value,
-                "permutation": list(t.perm),
-            }
-        )
-        return
-    print(f"{which} = {t.value}")
-    print("permutation (1-indexed): " + " ".join(str(j + 1) for j in t.perm))
-
-
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> _Result:
     a = _read_matrix(args.file)
     t = tdet(a) if args.which == "tdet" else tropdet(a)
-    _print_transversal(args.which, a.rows, t, args.format)
-    return 0
+    doc = {"which": args.which, "n": a.rows, "value": t.value, "permutation": t.perm}
+    lines = [
+        f"{args.which} = {t.value}",
+        "permutation (1-indexed): " + " ".join(str(j + 1) for j in t.perm),
+    ]
+    return 0, doc, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Result:
     a = _read_matrix(args.file)
     violation: dict | None = None
     ds: DSMatrix | None = None
@@ -190,145 +181,133 @@ def _cmd_verify(args) -> int:
             "sum": exc.total,
             "expected": exc.expected,
         }
+        detail = (
+            f"{exc.axis} {exc.index + 1} sums to {exc.total}, "
+            f"expected {exc.expected}"
+        )
     except MatrixShapeError as exc:
         violation = {"shape": str(exc)}
+        detail = str(exc)
 
     expected = args.expect_m
-    mismatch = ds is not None and expected is not None and ds.m != expected
-
-    if args.format == "structured":
-        _emit_json(
-            {
-                "rows": a.rows,
-                "cols": a.cols,
-                "member": ds is not None and not mismatch,
-                "m": ds.m if ds is not None else None,
-                "expected_m": expected,
-                "violation": violation,
-            }
-        )
+    member = ds is not None and (expected is None or ds.m == expected)
+    doc = {
+        "rows": a.rows,
+        "cols": a.cols,
+        "member": member,
+        "m": ds.m if ds is not None else None,
+        "expected_m": expected,
+        "violation": violation,
+    }
+    if member:
+        lines = [f"doubly stochastic: yes (m = {ds.m}, n = {ds.n})"]
+    elif ds is not None:
+        lines = [
+            "doubly stochastic: yes, but wrong line sum",
+            f"m = {ds.m}, expected {expected}",
+        ]
     else:
-        if ds is not None and not mismatch:
-            print(f"doubly stochastic: yes (m = {ds.m}, n = {ds.n})")
-        elif mismatch:
-            print("doubly stochastic: yes, but wrong line sum")
-            print(f"m = {ds.m}, expected {expected}")
-        else:
-            print("doubly stochastic: no")
-            if "axis" in (violation or {}):
-                print(
-                    f"{violation['axis']} {violation['index'] + 1} sums to "
-                    f"{violation['sum']}, expected {violation['expected']}"
-                )
-            else:
-                print(violation["shape"])
-    return 0 if ds is not None and not mismatch else 1
+        lines = ["doubly stochastic: no", detail]
+    return (0 if member else 1), doc, lines
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> _Result:
     budget = _budget()
     if args.stat == "count":
         total = count_D(args.m, args.n, budget)
-        if args.format == "structured":
-            _emit_json({"m": args.m, "n": args.n, "stat": "count", "count": total})
-        else:
-            print(f"|D({args.m},{args.n})| = {total}")
-        return 0
+        doc = {"m": args.m, "n": args.n, "stat": "count", "count": total}
+        return 0, doc, [f"|D({args.m},{args.n})| = {total}"]
     stats = (
         brute_L(args.m, args.n, budget)
         if args.stat == "min-tdet"
         else brute_U(args.m, args.n, budget)
     )
-    if args.format == "structured":
-        _emit_json(
-            {
-                "m": args.m,
-                "n": args.n,
-                "stat": args.stat,
-                "extremum": stats.extremum,
-                "count": stats.count,
-                "witness": structured_doc(stats.witness),
-            }
-        )
-        return 0
+    doc = {
+        "m": args.m,
+        "n": args.n,
+        "stat": args.stat,
+        "extremum": stats.extremum,
+        "count": stats.count,
+        "witness": stats.witness,
+    }
     label = "min tdet" if args.stat == "min-tdet" else "max tropdet"
-    print(f"{label} over D({args.m},{args.n}) = {stats.extremum}")
-    print(f"matrices visited: {stats.count}")
-    print("witness:")
-    print(serialize(stats.witness))
-    return 0
+    lines = [
+        f"{label} over D({args.m},{args.n}) = {stats.extremum}",
+        f"matrices visited: {stats.count}",
+        "witness:",
+        stats.witness,
+    ]
+    return 0, doc, lines
 
 
-def _cmd_rubik(args) -> int:
+def _cmd_rubik(args) -> _Result:
     answer = rubik_answer(args.colors, args.stickers_per_face)
     witness = construct_min_tdet(args.stickers_per_face, args.colors)
-    if args.format == "structured":
-        _emit_json(
-            {
-                "colors": args.colors,
-                "stickers_per_face": args.stickers_per_face,
-                "answer": answer,
-                "witness": structured_doc(witness),
-            }
-        )
-        return 0
-    print(f"colors = {args.colors}, stickers per face = {args.stickers_per_face}")
-    print(f"worst-case stickers to replace: {answer}")
-    print("worst-case sticker counts (rows = colors, columns = faces):")
-    print(serialize(witness))
-    return 0
+    doc = {
+        "colors": args.colors,
+        "stickers_per_face": args.stickers_per_face,
+        "answer": answer,
+        "witness": witness,
+    }
+    lines = [
+        f"colors = {args.colors}, stickers per face = {args.stickers_per_face}",
+        f"worst-case stickers to replace: {answer}",
+        "worst-case sticker counts (rows = colors, columns = faces):",
+        witness,
+    ]
+    return 0, doc, lines
 
 
-def _cmd_zero_block(args) -> int:
+def _cmd_zero_block(args) -> _Result:
     a = _read_matrix(args.file)
     block = largest_low_block(a, args.threshold)
     n = a.rows
     hall = block.dimension_sum <= n
-    if args.format == "structured":
-        _emit_json(
-            {
-                "n": n,
-                "threshold": args.threshold,
-                "row_set": list(block.row_set),
-                "col_set": list(block.col_set),
-                "sum": block.dimension_sum,
-                "hall_holds": hall,
-            }
-        )
-        return 0
-    print(f"n = {n}, threshold = {args.threshold}")
-    print(
-        f"largest low block: |R| = {len(block.row_set)}, "
-        f"|S| = {len(block.col_set)}, sum = {block.dimension_sum}"
-    )
+    doc = {
+        "n": n,
+        "threshold": args.threshold,
+        "row_set": block.row_set,
+        "col_set": block.col_set,
+        "sum": block.dimension_sum,
+        "hall_holds": hall,
+    }
     rows_text = " ".join(str(i + 1) for i in block.row_set) or "none"
     cols_text = " ".join(str(j + 1) for j in block.col_set) or "none"
-    print(f"rows (1-indexed): {rows_text}")
-    print(f"columns (1-indexed): {cols_text}")
-    print(
-        "Hall condition (|R| + |S| <= n): " + ("holds" if hall else "fails")
-    )
-    return 0
+    lines = [
+        f"n = {n}, threshold = {args.threshold}",
+        f"largest low block: |R| = {len(block.row_set)}, "
+        f"|S| = {len(block.col_set)}, sum = {block.dimension_sum}",
+        f"rows (1-indexed): {rows_text}",
+        f"columns (1-indexed): {cols_text}",
+        "Hall condition (|R| + |S| <= n): " + ("holds" if hall else "fails"),
+    ]
+    return 0, doc, lines
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args) -> _Result:
     ds = random_ds(args.m, args.n, args.seed)
-    if args.format == "structured":
-        doc = structured_doc(ds)
-        doc["seed"] = args.seed
-        _emit_json(doc)
-        return 0
-    print(serialize(ds))
-    return 0
+    a = ds.matrix.array
+    # structured_doc's keys, flat, plus the seed; the entries stay an array.
+    doc = {"rows": ds.n, "cols": ds.n, "entries": a, "m": ds.m, "seed": args.seed}
+    return 0, doc, [ds]
 
 
-def _add_format(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--format",
-        choices=("plain", "structured"),
-        default="plain",
-        help="plain text (default) or a single JSON document",
-    )
+def _json_default(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.ravel().tolist()
+    return structured_doc(obj)
+
+
+def _print_result(result: _Result, fmt: str) -> int:
+    """Print a command's result as one JSON document or as plain lines,
+    rendering only what that format shows; return its exit code."""
+    code, doc, lines = result
+    if fmt == "structured":
+        print(json.dumps(doc, indent=2, default=_json_default))
+    else:
+        for line in lines:
+            print(line if isinstance(line, str) else serialize(line))
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bounds", help="evaluate L(m,n) and U(m,n)")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
-    _add_format(p)
     p.set_defaults(func=_cmd_bounds)
 
     p = subs.add_parser("construct", help="build an extremal member of D(m,n)")
@@ -353,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--objective", choices=("min-tdet", "max-tropdet"), required=True
     )
-    _add_format(p)
     p.set_defaults(func=_cmd_construct)
 
     for which in ("tdet", "tropdet"):
@@ -361,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
             which, help=f"evaluate {which} of a matrix file ('-' for stdin)"
         )
         p.add_argument("file")
-        _add_format(p)
         p.set_defaults(func=_cmd_eval, which=which)
 
     p = subs.add_parser("verify", help="check membership in D(m,n)")
@@ -372,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also require the detected line sum to equal this value",
     )
-    _add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("enumerate", help="sweep all of D(m,n)")
@@ -381,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stat", choices=("count", "min-tdet", "max-tropdet"), required=True
     )
-    _add_format(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = subs.add_parser(
@@ -389,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--colors", type=_positive_int, required=True)
     p.add_argument("--stickers-per-face", type=_positive_int, required=True)
-    _add_format(p)
     p.set_defaults(func=_cmd_rubik)
 
     p = subs.add_parser(
@@ -397,16 +370,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file")
     p.add_argument("--threshold", type=_nonneg_int, default=0)
-    _add_format(p)
     p.set_defaults(func=_cmd_zero_block)
 
     p = subs.add_parser("random", help="sample a random member of D(m,n)")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=_nonneg_int, default=None)
-    _add_format(p)
     p.set_defaults(func=_cmd_random)
 
+    for p in subs.choices.values():
+        p.add_argument(
+            "--format",
+            choices=("plain", "structured"),
+            default="plain",
+            help="plain text (default) or a single JSON document",
+        )
     return parser
 
 
@@ -414,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _print_result(args.func(args), args.format)
     except TropdetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -263,8 +263,8 @@ UNREDUCED_CELLS = (
 
 
 class TestRowOrbitWalk:
-    """count_D, brute_L and brute_U walk one member per row orbit; the
-    unreduced walk is the reference."""
+    """count_D, brute_L and brute_U against the unreduced walk, which visits
+    every member of D(m, n): the same count, extremes and first witnesses."""
 
     @pytest.mark.parametrize("m,n", UNREDUCED_CELLS)
     def test_matches_unreduced_walk(self, m, n):
