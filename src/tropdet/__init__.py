@@ -8,8 +8,10 @@ solvers, threshold-block analysis, exhaustive enumeration, and a CLI.
 """
 
 from .assignment import (
+    Certificate,
     Transversal,
     brute_assignment,
+    check_certificate,
     has_transversal_above,
     tdet,
     tropdet,
@@ -32,6 +34,7 @@ from .construct import (
     BlockPlan,
     construct_max_tropdet,
     construct_min_tdet,
+    extremal_certificate,
     plan_hard_case,
 )
 from .enumerate_ds import (
@@ -45,6 +48,7 @@ from .enumerate_ds import (
 )
 from .errors import (
     BudgetExceededError,
+    CertificateError,
     DomainError,
     LineSumError,
     MatrixParseError,
@@ -70,6 +74,8 @@ __all__ = [
     "BoundsResult",
     "BudgetExceededError",
     "CaseTag",
+    "Certificate",
+    "CertificateError",
     "DEFAULT_VISIT_BUDGET",
     "DSMatrix",
     "DomainError",
@@ -86,10 +92,12 @@ __all__ = [
     "brute_L",
     "brute_U",
     "brute_assignment",
+    "check_certificate",
     "construct_max_tropdet",
     "construct_min_tdet",
     "count_D",
     "enumerate_D",
+    "extremal_certificate",
     "has_transversal_above",
     "largest_low_block",
     "lower_bound_L",

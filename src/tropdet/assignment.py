@@ -4,6 +4,12 @@ tdet maximizes, and tropdet minimizes, the sum of one entry per row and
 column (the assignment problem on the entry matrix).  Both return a witness
 permutation alongside the value; the value is the contract, the witness is
 whichever optimum the solver lands on.
+
+check_certificate proves such a value without solving: duals u, v that
+bound every cell (u_i + v_j >= a_ij when maximizing, <= when minimizing)
+and a permutation on cells where the bound is tight give a transversal
+sum equal to sum(u) + sum(v), which no permutation can beat (Kuhn 1955,
+complementary slackness).
 """
 
 from __future__ import annotations
@@ -14,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import max_matching_above
-from .errors import DomainError, MatrixShapeError, SizeGuardError
+from .errors import CertificateError, DomainError, MatrixShapeError, SizeGuardError
 from .matrices import IntMatrix
 
 __all__ = [
+    "Certificate",
     "Transversal",
+    "check_certificate",
     "tdet",
     "tropdet",
     "brute_assignment",
@@ -26,6 +34,8 @@ __all__ = [
 ]
 
 BRUTE_MAX_N = 10
+# float64 holds every integer below 2**53 exactly; the solve runs in float64.
+FLOAT_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -51,10 +61,76 @@ def _solve(a: IntMatrix, maximize: bool) -> Transversal:
 
     n = _require_square(a)
     arr = a.array
+    hi = int(arr.max())
+    if n * hi >= FLOAT_EXACT:
+        # Shifting every entry by one constant shifts every transversal by
+        # n times it, so the optimum stays put.  The subtraction runs in
+        # int64 and only its result is cast: casting first would round.
+        lo = int(arr.min())
+        if n * (hi - lo) >= FLOAT_EXACT:
+            raise DomainError(
+                f"entry range {hi - lo} with n = {n} is past the "
+                f"exact float64 solve: need n * (max - min) < 2**53"
+            )
+        arr = np.subtract(arr, lo, out=np.empty(arr.shape), casting="unsafe")
     _, cols = linear_sum_assignment(arr, maximize=maximize)
     perm = tuple(cols.tolist())
-    value = int(arr[np.arange(n), cols].sum())
+    value = int(a.array[np.arange(n), cols].sum())
     return Transversal(perm=perm, value=value)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Duals u (rows) and v (columns) and a witness permutation."""
+
+    u: tuple[int, ...]
+    v: tuple[int, ...]
+    perm: tuple[int, ...]
+
+
+def check_certificate(
+    a: IntMatrix, cert: Certificate, maximize: bool
+) -> Transversal:
+    """The witness transversal of a, once cert proves it optimal.
+
+    Checks, in exact integers, that perm is a permutation, that the duals
+    bound every cell (u_i + v_j >= a_ij when maximizing, <= otherwise), that
+    every witness cell is tight, and that sum(u) + sum(v) equals the
+    witness sum.  Any failure raises CertificateError.
+    """
+    n = _require_square(a)
+    arr = a.array
+    if not (len(cert.u) == len(cert.v) == len(cert.perm) == n):
+        raise CertificateError(f"certificate does not have {n} rows and columns")
+    # Every |u_i| + |v_j| + a_ij within int64 keeps the cell checks exact.
+    reach = max(map(abs, cert.u)) + max(map(abs, cert.v)) + int(arr.max())
+    if reach > 2**63 - 1:
+        raise CertificateError("certificate duals are too large to check in int64")
+    u = np.array(cert.u, dtype=np.int64)
+    v = np.array(cert.v, dtype=np.int64)
+    if sorted(cert.perm) != list(range(n)):
+        raise CertificateError("witness is not a permutation")
+    perm = np.array(cert.perm, dtype=np.intp)
+    # slack = a_ij - u_i - v_j, negated when minimizing, must be <= 0 on
+    # every cell and 0 on the witness cells.  One n x n temporary.
+    slack = np.subtract(arr, v)
+    slack -= u[:, None]
+    if not maximize:
+        np.negative(slack, out=slack)
+    if slack.max() > 0:
+        i, j = np.unravel_index(slack.argmax(), slack.shape)
+        sense = ">=" if maximize else "<="
+        raise CertificateError(
+            f"dual bound fails at cell ({i}, {j}): need u_i + v_j {sense} a_ij"
+        )
+    loose = slack[np.arange(n), perm].nonzero()[0]
+    if loose.size:
+        i = int(loose[0])
+        raise CertificateError(f"witness cell ({i}, {perm[i]}) is not tight")
+    value = int(arr[np.arange(n), perm].sum())
+    if sum(cert.u) + sum(cert.v) != value:
+        raise CertificateError("dual sum differs from the witness sum")
+    return Transversal(perm=tuple(cert.perm), value=value)
 
 
 def tdet(a: IntMatrix) -> Transversal:

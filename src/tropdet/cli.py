@@ -22,10 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import tdet, tropdet
+from .assignment import check_certificate, tdet, tropdet
 from .blocks import largest_low_block
 from .bounds import BoundsResult, lower_bound_L, rubik_answer, upper_bound_U
-from .construct import construct_max_tropdet, construct_min_tdet
+from .construct import (
+    construct_max_tropdet,
+    construct_min_tdet,
+    extremal_certificate,
+)
 from .enumerate_ds import (
     DEFAULT_VISIT_BUDGET,
     brute_L,
@@ -132,13 +136,14 @@ def _cmd_construct(args) -> _Result:
     if args.objective == "min-tdet":
         ds = construct_min_tdet(args.m, args.n)
         res = lower_bound_L(args.m, args.n)
-        achieved = tdet(ds.matrix).value
-        label = "tdet"
+        label, maximize = "tdet", True
     else:
         ds = construct_max_tropdet(args.m, args.n)
         res = upper_bound_U(args.m, args.n)
-        achieved = tropdet(ds.matrix).value
-        label = "tropdet"
+        label, maximize = "tropdet", False
+    # The value is proved, not solved: exact duals and a tight witness.
+    cert = extremal_certificate(args.m, args.n, args.objective)
+    achieved = check_certificate(ds.matrix, cert, maximize).value
     doc = {
         "m": args.m,
         "n": args.n,

@@ -6,6 +6,8 @@ transversal meets the sharp upper bound.  All constructions are block
 matrices [[A1, A2], [A3, A4]] (possibly with empty off-blocks): one
 constant int64 array with circulant bands written into its slices, and,
 in the hard case, an upper-left block dealt round-robin in closed form.
+extremal_certificate gives the duals and the witness permutation that
+prove each construction's value with assignment.check_certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import CaseTag, lower_bound_L, smallest_l
+from .assignment import Certificate
+from .bounds import CaseTag, lower_bound_L, smallest_l, upper_bound_U
 from .errors import DomainError
 from .matrices import DSMatrix, IntMatrix, check_entry_limit, split, validate_ds
 
@@ -23,6 +26,7 @@ __all__ = [
     "plan_hard_case",
     "construct_min_tdet",
     "construct_max_tropdet",
+    "extremal_certificate",
 ]
 
 
@@ -168,3 +172,82 @@ def construct_max_tropdet(m: int, n: int) -> DSMatrix:
         body[:side, :side] += lift + _band(side, side, -1, 1, side, band)
         body[side:, side:] += 1
     return validate_ds(IntMatrix(n, n, body))
+
+
+def _band_witness(size: int, r: int) -> np.ndarray:
+    """Increasing lines c_0 < c_1 < ... of a circulant band, line c_k holding
+    cell k, where line c holds the cells (r*c + s) mod size for s < r.
+
+    With r = 1 or r >= size, line k holds cell k.  Otherwise cell k sits at
+    the unrolled position k*(size + 1) = r*c + s, and as the step size + 1
+    is at least r, the lines c = k*(size + 1) // r are distinct.  In the
+    hard regime the minimality of l keeps the last of them inside its
+    block: (l1 - 1)(l1 + 1) < r(n - l2), and likewise with l1, l2 swapped.
+    """
+    k = np.arange(size)
+    if r == 1 or r >= size:
+        return k
+    return k * (size + 1) // r
+
+
+def extremal_certificate(m: int, n: int, objective: str) -> Certificate:
+    """Duals u, v and a witness permutation proving a construction's value.
+
+    objective "min-tdet": for construct_min_tdet(m, n), checked with
+    maximize=True, summing to L(m, n).  "max-tropdet": for
+    construct_max_tropdet(m, n), checked with maximize=False, summing to
+    U(m, n).  With m = q*n + r, side = n - r and k = 2r - n, the duals
+    start at u = q, v = 0, and the witness uses only tight cells:
+
+      R_ZERO   -                           identity
+      Q_ZERO   u = 1                       identity (the band's diagonal)
+      HALF_UP  u = q + 1                   rows [0,k) -> columns [0,k),
+                                           [k,r) -> [r,n), [r,n) -> [k,r)
+      SHARP2   u += 1 on rows < r,         reversal i -> n - 1 - i
+               v = 1 on columns < r
+      HARD_*   u += 1 on rows < l1,        rows < l1 onto q + 1 cells of the
+               v = 1 on columns < l2       upper-right band, columns < l2
+                                           onto q + 1 cells of the lower-left
+                                           band (_band_witness), the rest
+                                           meet in the all-q block
+      LOW_R    -                           row i < r -> side + i, others
+                                           (i + r) mod side
+      HIGH_R   u += 1 on rows >= side,     reversal
+               v = -1 on columns < side
+    """
+    if objective == "min-tdet":
+        tag = lower_bound_L(m, n).case_tag
+    elif objective == "max-tropdet":
+        tag = upper_bound_U(m, n).case_tag
+    else:
+        raise DomainError(
+            f"objective must be 'min-tdet' or 'max-tropdet', got {objective!r}"
+        )
+    q, r = divmod(m, n)
+    side, k = n - r, 2 * r - n
+    i = np.arange(n)
+    u, v, perm = [q] * n, [0] * n, i
+    if tag in (CaseTag.Q_ZERO, CaseTag.HALF_UP):
+        u = [q + 1] * n
+        if tag is CaseTag.HALF_UP:
+            perm = np.concatenate((i[:k], i[r:], i[k:r]))
+    elif tag is CaseTag.SHARP2:
+        u = [q + 1] * r + [q] * side
+        v = [1] * r + [0] * side
+        perm = i[::-1]
+    elif tag in (CaseTag.HARD_CASE1, CaseTag.HARD_CASE2):
+        plan = plan_hard_case(m, n)
+        l1, l2 = plan.l1, plan.l2
+        u = [q + 1] * l1 + [q] * (n - l1)
+        v = [1] * l2 + [0] * (n - l2)
+        perm = np.full(n, -1)
+        perm[:l1] = l2 + _band_witness(l1, r)
+        perm[l1 + _band_witness(l2, r)] = i[:l2]
+        perm[perm < 0] = np.setdiff1d(i[l2:], perm[:l1])
+    elif tag is CaseTag.LOW_R:
+        perm = np.concatenate((i[side:], (i[r:] + r) % side))
+    elif tag is CaseTag.HIGH_R:
+        u = [q] * side + [q + 1] * r
+        v = [-1] * side + [0] * r
+        perm = i[::-1]
+    return Certificate(u=tuple(u), v=tuple(v), perm=tuple(perm.tolist()))

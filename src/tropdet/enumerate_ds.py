@@ -64,12 +64,11 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 def _row_pool(m: int, n: int, budget: int) -> tuple[tuple[int, ...], ...]:
     """The candidate rows, after both walks' up-front checks."""
     split(m, n)  # domain check
-    if budget < 1:
-        raise BudgetExceededError(0, budget)
     # Each first row extends to at least one member, so the row pool size
     # is a lower bound on the total count: refuse before materializing.
-    if math.comb(m + n - 1, n - 1) > budget:
-        raise BudgetExceededError(0, budget)
+    size = math.comb(m + n - 1, n - 1)
+    if size > budget:
+        raise BudgetExceededError(0, budget, size)
     return _compositions(m, n)
 
 
@@ -85,7 +84,7 @@ def _visit_flat(
         if placed == n - 1:
             count += 1
             if count > budget:
-                raise BudgetExceededError(count - 1, budget)
+                raise BudgetExceededError(count - 1, budget, count)
             sink(acc + col_rem)
             return
         for j, rest in _placements(pool, 0, col_rem, m * (n - placed - 1), m):
@@ -136,7 +135,7 @@ def count_D(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> int:
             total += rec(left - 1, tuple(sorted(rest)))
             # A partial count is <= |D(m, n)|: refuse once it passes budget.
             if total > budget:
-                raise BudgetExceededError(budget, budget)
+                raise BudgetExceededError(budget, budget, total)
         return total
 
     return rec(n, (m,) * n)

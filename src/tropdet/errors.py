@@ -41,13 +41,24 @@ class SizeGuardError(TropdetError, ValueError):
     """Input exceeds the hard size guard of a brute-force routine."""
 
 
-class BudgetExceededError(TropdetError, RuntimeError):
-    """An enumeration ran past its visit budget."""
+class CertificateError(TropdetError, ValueError):
+    """An optimality certificate failed its exact check."""
 
-    def __init__(self, visited: int, budget: int):
+
+class BudgetExceededError(TropdetError, RuntimeError):
+    """An enumeration ran past its member budget.
+
+    ``members`` is a proven lower bound on |D(m, n)| that passed the
+    budget, and what the message reports.  ``visited`` is how far the walk
+    got when it stopped: 0 when the row pool alone refused, the budget once
+    a count passed it.
+    """
+
+    def __init__(self, visited: int, budget: int, members: int):
         self.visited = visited
         self.budget = budget
+        self.members = members
         super().__init__(
-            f"enumeration budget exceeded: {visited} matrices visited "
+            f"enumeration budget exceeded: at least {members} members "
             f"(budget {budget})"
         )

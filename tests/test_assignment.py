@@ -11,14 +11,23 @@ from hypothesis import strategies as st
 
 from conftest import CIRCULANT_4_6, M5_SUM6, M5_SUM7, M6_SUM7, RUBIK_6X6, mat
 from tropdet import (
+    Certificate,
+    CertificateError,
     DomainError,
+    IntMatrix,
     MatrixShapeError,
     SizeGuardError,
     brute_assignment,
+    check_certificate,
+    construct_max_tropdet,
+    construct_min_tdet,
+    extremal_certificate,
     has_transversal_above,
+    lower_bound_L,
     random_ds,
     tdet,
     tropdet,
+    upper_bound_U,
 )
 
 
@@ -207,3 +216,145 @@ def test_import_leaves_scipy_optimize_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+# One (m, n, objective) per case tag of L and U.
+CASE_EXAMPLES = [
+    (6, 3, "min-tdet", "R_ZERO"),
+    (2, 5, "min-tdet", "Q_ZERO"),
+    (8, 5, "min-tdet", "HALF_UP"),
+    (7, 5, "min-tdet", "SHARP2"),
+    (5, 4, "min-tdet", "HARD_CASE1"),
+    (7, 6, "min-tdet", "HARD_CASE2"),
+    (7, 5, "max-tropdet", "LOW_R"),
+    (8, 5, "max-tropdet", "HIGH_R"),
+]
+
+
+@pytest.mark.parametrize(
+    "m,n,objective,tag", CASE_EXAMPLES, ids=[row[3] for row in CASE_EXAMPLES]
+)
+def test_construct_leaves_scipy_unloaded(m, n, objective, tag):
+    # construct proves its value with a closed-form certificate, so it needs
+    # neither the assignment solver nor the matchers
+    bound = lower_bound_L if objective == "min-tdet" else upper_bound_U
+    assert bound(m, n).case_tag.value == tag
+    src = str(Path(sys.modules["tropdet"].__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, tropdet.cli\n"
+        "assert tropdet.cli.main(sys.argv[1:]) == 0\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"
+    )
+    argv = ["construct", "--m", str(m), "--n", str(n), "--objective", objective]
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "False False"
+
+
+class TestFloatGuard:
+    """The float64 solve stays exact near 2**53: entries are shifted by their
+    minimum in int64 first, and a range too wide even then is refused."""
+
+    TOP = 2**53
+
+    def test_probe(self):
+        t = self.TOP
+        a = mat([[t, t + 1], [t + 1, t + 1]])
+        assert tdet(a).value == 2 * t + 2
+        assert tropdet(a).value == 2 * t + 1
+
+    @pytest.mark.parametrize("offset", [-3, -1, 0, 1, 3])
+    def test_near_two_to_53_matches_brute(self, offset):
+        rng = np.random.default_rng(offset + 10)
+        for n in (2, 3, 5):
+            small = rng.integers(0, 7, size=(n, n))
+            a = IntMatrix(n, n, small + (self.TOP + offset))
+            assert tdet(a).value == brute_assignment(a, "max").value
+            assert tropdet(a).value == brute_assignment(a, "min").value
+
+    def test_last_unshifted_range(self):
+        # n * max = 2**53 - 2: the plain path, exact
+        r = 2**52 - 1
+        a = mat([[0, r], [r, 0]])
+        assert tdet(a).value == 2 * r
+        assert tropdet(a).value == 0
+
+    @pytest.mark.parametrize("solve", [tdet, tropdet])
+    def test_range_past_guard_refused(self, solve):
+        t = self.TOP
+        with pytest.raises(DomainError, match=r"n \* \(max - min\) < 2\*\*53"):
+            solve(mat([[0, t], [t, 0]]))
+
+
+class TestCertificate:
+    @staticmethod
+    def case(objective):
+        # HARD_CASE2 for min-tdet, LOW_R for max-tropdet
+        build = construct_min_tdet if objective == "min-tdet" else construct_max_tropdet
+        a = build(7, 6).matrix
+        return a, extremal_certificate(7, 6, objective), objective == "min-tdet"
+
+    @pytest.mark.parametrize("objective", ["min-tdet", "max-tropdet"])
+    def test_accepts_and_matches_solver(self, objective):
+        a, cert, maximize = self.case(objective)
+        got = check_certificate(a, cert, maximize)
+        solve = tdet if maximize else tropdet
+        assert got.value == solve(a).value == (10 if maximize else 6)
+        assert got.perm == cert.perm
+
+    @pytest.mark.parametrize("objective", ["min-tdet", "max-tropdet"])
+    def test_rejects_lowered_u0(self, objective):
+        a, cert, maximize = self.case(objective)
+        u = (cert.u[0] - 1,) + cert.u[1:]
+        with pytest.raises(CertificateError):
+            check_certificate(a, Certificate(u, cert.v, cert.perm), maximize)
+
+    def test_rejects_raised_witness_entry(self):
+        # the duals still bound every cell from below, but the raised cell
+        # is no longer tight
+        a, cert, maximize = self.case("max-tropdet")
+        arr = a.array.copy()
+        arr[0, cert.perm[0]] += 1
+        with pytest.raises(CertificateError, match="not tight"):
+            check_certificate(IntMatrix(6, 6, arr), cert, maximize)
+
+    def test_rejects_raised_entry_above_duals(self):
+        a, cert, maximize = self.case("min-tdet")
+        arr = a.array.copy()
+        arr[0, cert.perm[0]] += 1
+        with pytest.raises(CertificateError, match="dual bound fails at cell"):
+            check_certificate(IntMatrix(6, 6, arr), cert, maximize)
+
+    @pytest.mark.parametrize("objective", ["min-tdet", "max-tropdet"])
+    def test_rejects_repeated_column(self, objective):
+        a, cert, maximize = self.case(objective)
+        perm = (cert.perm[1],) + cert.perm[1:]
+        with pytest.raises(CertificateError, match="not a permutation"):
+            check_certificate(a, Certificate(cert.u, cert.v, perm), maximize)
+
+    @pytest.mark.parametrize("objective", ["min-tdet", "max-tropdet"])
+    def test_rejects_wrong_flag(self, objective):
+        a, cert, maximize = self.case(objective)
+        with pytest.raises(CertificateError, match="dual bound fails"):
+            check_certificate(a, cert, not maximize)
+
+    def test_rejects_wrong_length(self):
+        a, cert, maximize = self.case("min-tdet")
+        with pytest.raises(CertificateError, match="6 rows and columns"):
+            check_certificate(a, Certificate(cert.u[:5], cert.v, cert.perm), maximize)
+
+    def test_rejects_duals_past_int64(self):
+        a, cert, maximize = self.case("min-tdet")
+        u = (2**63,) + cert.u[1:]
+        with pytest.raises(CertificateError, match="too large"):
+            check_certificate(a, Certificate(u, cert.v, cert.perm), maximize)
+
+    def test_unknown_objective(self):
+        with pytest.raises(DomainError):
+            extremal_certificate(7, 6, "max")

@@ -400,6 +400,7 @@ GOLDEN_FILES = {
     "id3.txt": "1 0 0\n0 1 0\n0 0 1\n",
     "zrow.txt": "1 1 1\n0 0 0\n1 1 1\n",
     "thr.txt": "2 1\n1 2\n",
+    "range53.txt": f"0 {2**53}\n{2**53} 0\n",
 }
 
 # (command, exit code, stdout, stderr), recorded byte for byte from the CLI
@@ -898,6 +899,42 @@ GOLDEN = [
         "error: entries up to 20000000000000000000 with 5 per line can sum past the "
         "int64 limit: need max entry * max(rows, cols) <= 2**63 - 1\n",
     ),
+    # Matrix lines as printed before construct certified its value (the
+    # matrices did not change); value lines from the closed forms of L and
+    # U, which the float64 solve missed at these entries.
+    (
+        "construct --m 100000000000000003 --n 5 --objective min-tdet",
+        0,
+        "m = 100000000000000003, n = 5, objective = min-tdet\n"
+        "20000000000000001 20000000000000000 20000000000000000 20000000000000001 20000000000000001\n"
+        "20000000000000000 20000000000000001 20000000000000000 20000000000000001 20000000000000001\n"
+        "20000000000000000 20000000000000000 20000000000000001 20000000000000001 20000000000000001\n"
+        "20000000000000001 20000000000000001 20000000000000001 20000000000000000 20000000000000000\n"
+        "20000000000000001 20000000000000001 20000000000000001 20000000000000000 20000000000000000\n"
+        "tdet = 100000000000000005\n"
+        "bound = 100000000000000005  [case HALF_UP]\n",
+        "",
+    ),
+    (
+        "construct --m 100000000000000003 --n 5 --objective max-tropdet",
+        0,
+        "m = 100000000000000003, n = 5, objective = max-tropdet\n"
+        "20000000000000002 20000000000000001 20000000000000000 20000000000000000 20000000000000000\n"
+        "20000000000000001 20000000000000002 20000000000000000 20000000000000000 20000000000000000\n"
+        "20000000000000000 20000000000000000 20000000000000001 20000000000000001 20000000000000001\n"
+        "20000000000000000 20000000000000000 20000000000000001 20000000000000001 20000000000000001\n"
+        "20000000000000000 20000000000000000 20000000000000001 20000000000000001 20000000000000001\n"
+        "tropdet = 100000000000000001\n"
+        "bound = 100000000000000001  [case HIGH_R]\n",
+        "",
+    ),
+    (
+        "tdet range53.txt",
+        1,
+        "",
+        "error: entry range 9007199254740992 with n = 2 is past the exact "
+        "float64 solve: need n * (max - min) < 2**53\n",
+    ),
     (
         "tdet token.txt",
         1,
@@ -940,13 +977,13 @@ GOLDEN = [
         "TROPDET_MAX_VISITS=5 enumerate --m 2 --n 3 --stat count",
         1,
         "",
-        "error: enumeration budget exceeded: 0 matrices visited (budget 5)\n",
+        "error: enumeration budget exceeded: at least 6 members (budget 5)\n",
     ),
     (
         "TROPDET_MAX_VISITS=5 enumerate --m 2 --n 3 --stat min-tdet --format structured",
         1,
         "",
-        "error: enumeration budget exceeded: 0 matrices visited (budget 5)\n",
+        "error: enumeration budget exceeded: at least 6 members (budget 5)\n",
     ),
     (
         "TROPDET_MAX_VISITS=soon enumerate --m 2 --n 2 --stat count",

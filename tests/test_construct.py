@@ -7,8 +7,10 @@ from conftest import CIRCULANT_4_6, M6_SUM7, RUBIK_6X6
 from tropdet import (
     DomainError,
     brute_assignment,
+    check_certificate,
     construct_max_tropdet,
     construct_min_tdet,
+    extremal_certificate,
     lower_bound_L,
     plan_hard_case,
     split,
@@ -183,3 +185,33 @@ class TestMaxTropdet:
             for m in range(1, 26):
                 ds = construct_max_tropdet(m, n)
                 assert tropdet(ds.matrix).value == upper_bound_U(m, n).value
+
+
+OBJECTIVES = [
+    ("min-tdet", construct_min_tdet, lower_bound_L, True),
+    ("max-tropdet", construct_max_tropdet, upper_bound_U, False),
+]
+
+
+class TestCertificates:
+    def test_whole_grid_certifies(self):
+        # every construction with n <= 40, m <= 300 is proved optimal in
+        # exact integers by its closed-form duals and witness
+        for n in range(1, 41):
+            for m in range(1, 301):
+                for objective, build, bound, maximize in OBJECTIVES:
+                    cert = extremal_certificate(m, n, objective)
+                    got = check_certificate(build(m, n).matrix, cert, maximize)
+                    assert got.value == bound(m, n).value, (m, n, objective)
+
+    @pytest.mark.parametrize(
+        "objective,build,bound,maximize", OBJECTIVES, ids=[r[0] for r in OBJECTIVES]
+    )
+    @pytest.mark.parametrize(
+        "m,n", [(3750, 3000), (4500, 3000), (10**17 + 3, 5)]
+    )
+    def test_certifies_at_scale(self, m, n, objective, build, bound, maximize):
+        # n = 3000, and entries past float64's exact range
+        cert = extremal_certificate(m, n, objective)
+        got = check_certificate(build(m, n).matrix, cert, maximize)
+        assert got.value == bound(m, n).value
