@@ -73,7 +73,12 @@ def _solve(a: IntMatrix, maximize: bool) -> Transversal:
                 f"exact float64 solve: need n * (max - min) < 2**53"
             )
         arr = np.subtract(arr, lo, out=np.empty(arr.shape), casting="unsafe")
-    _, cols = linear_sum_assignment(arr, maximize=maximize)
+    # One float64 copy, negated here for a maximum: with maximize=True scipy
+    # would convert the entries and then negate into a second n x n copy.
+    cost = np.asarray(arr, dtype=float)
+    if maximize:
+        np.negative(cost, out=cost)
+    _, cols = linear_sum_assignment(cost)
     perm = tuple(cols.tolist())
     value = int(a.array[np.arange(n), cols].sum())
     return Transversal(perm=perm, value=value)

@@ -5,7 +5,8 @@ zero-block, random.  Each command computes one result, which ``main``
 prints to stdout either as plain text (the default) or, with --format
 structured, as one JSON document; diagnostics go to stderr.  Exit codes:
 0 success, 1 domain or input failure (also a MemoryError, RecursionError
-or OverflowError, reported on one line), 2 usage error.
+or OverflowError, reported on one line, or a reader that closed stdout
+early), 2 usage error.
 
 Human-readable output prints permutations and index sets 1-indexed;
 structured output is 0-indexed.  The enumeration visit budget can be
@@ -312,6 +313,9 @@ def _print_result(result: _Result, fmt: str) -> int:
     else:
         for line in lines:
             print(line if isinstance(line, str) else serialize(line))
+    # A reader that has gone fails the write here, inside main's handlers,
+    # and not in the interpreter's flush at exit.
+    sys.stdout.flush()
     return code
 
 
@@ -404,6 +408,13 @@ def main(argv: list[str] | None = None) -> int:
     except (MemoryError, RecursionError, OverflowError) as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader left early.  What stdout still buffers goes to
+        # /dev/null, so the interpreter's final flush cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -10,6 +10,7 @@ sums everywhere.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
@@ -222,14 +223,28 @@ def validate_ds(matrix: IntMatrix) -> DSMatrix:
 # Powers 10**1 .. 10**18: an int64 entry has one digit more than the
 # number of these it reaches.
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
-# Entries rendered per pass: each int64 temporary stays near 0.5 MB.
+# Entries rendered or parsed per pass: each int64 temporary stays near 0.5 MB.
+# A parse chunk ends just past the first separator after 2 * _CHUNK bytes.
 _CHUNK = 1 << 16
+_SEPARATOR = re.compile(b"[ \n]")
 
 
 def _render_rows(a: np.ndarray) -> str:
     """Canonical text of a non-empty int64 block: single spaces, LF rows."""
     flat = a.ravel()
-    ndig = np.searchsorted(_POW10, flat, side="right") + 1
+    wide = len(str(int(flat.max())))
+    if len(str(int(flat.min()))) == wide:
+        # One width: entry k and its separator fill row k of buf.
+        buf = np.full((flat.size, wide + 1), ord(" "), dtype=np.uint8)
+        buf[a.shape[1] - 1 :: a.shape[1], wide] = ord("\n")
+        v = flat
+        for k in range(wide - 1, 0, -1):
+            q = v // 10
+            np.add(v - 10 * q, ord("0"), out=buf[:, k], casting="unsafe")
+            v = q
+        np.add(v, ord("0"), out=buf[:, 0], casting="unsafe")
+        return buf.ravel()[:-1].tobytes().decode("ascii")
+    ndig = np.searchsorted(_POW10[: wide - 1], flat, side="right") + 1
     ends = np.cumsum(ndig + 1)  # one past each entry's trailing separator
     buf = np.full(int(ends[-1]) - 1, ord(" "), dtype=np.uint8)
     buf[ends[a.shape[1] - 1 : -1 : a.shape[1]] - 1] = ord("\n")
@@ -260,27 +275,51 @@ def _render(a: np.ndarray) -> str:
 
 
 def _parse_canonical(body: str) -> np.ndarray | None:
-    """Entries of canonical text (single spaces, LF rows, canonical
-    decimals), or None for any other text.
+    """Entries of canonical text (single spaces, LF rows, decimals without
+    leading zeros up to 2**63 - 1), or None for any other text.
 
-    The parse is accepted only when re-rendering it gives ``body`` byte for
-    byte, which proves that no token overflowed or was written
-    non-canonically and that no row is blank or ragged.  The charset check
-    comes first: it keeps every input on which ``fromstring`` could warn
-    away from it.
+    All checks run on the encoded bytes.  Text with a separator at every
+    odd offset holds one digit per entry and is read with strides; other
+    text is converted chunk by chunk, in uint64 Horner passes over the
+    token ends, so that 19-digit tokens past 2**63 - 1 turn negative.
     """
-    if not body or not body.isascii():
+    # Non-ASCII turns into "?", which the charset check rejects.
+    b = body.encode("ascii", "replace") + b"\n"  # each token ends in a separator
+    if b.translate(None, b"0123456789 \n"):
         return None
-    if body.encode("ascii").translate(None, b"0123456789 \n"):
+    u = np.frombuffer(b, dtype=np.uint8)
+    sep = u < ord("0")
+    if sep[0] or (sep[1:] & sep[:-1]).any():
         return None
-    width = len(body.partition("\n")[0].split())
-    if width == 0:
+    rows = b.count(b"\n")
+    cols = b.count(b" ", 0, b.index(b"\n")) + 1
+    # The shape needs this many spaces, so the row-end LFs are the only LFs.
+    if b.count(b" ") != rows * (cols - 1):
         return None
-    flat = np.fromstring(body, dtype=np.int64, sep=" ")
-    if flat.size % width:
-        return None
-    a = flat.reshape(-1, width)
-    return a if _render(a) == body else None
+    if sep[1::2].all():
+        grid = u.reshape(rows, cols, 2)  # one digit, then its separator
+        return grid[..., 0] - ord("0") if (grid[:, -1, 1] == ord("\n")).all() else None
+    out = np.zeros(rows * cols, dtype=np.int64)
+    lo = done = 0
+    while lo < u.size:
+        found = _SEPARATOR.search(b, lo + 2 * _CHUNK)
+        hi = found.end() if found else u.size
+        c = u[lo:hi]
+        ends = np.flatnonzero(sep[lo:hi])
+        if (c[ends[(-done - 1) % cols :: cols]] != ord("\n")).any():
+            return None
+        widths = np.diff(ends, prepend=-1) - 1
+        wide = int(widths.max())
+        if wide > 19 or ((c[ends - widths] == ord("0")) & (widths > 1)).any():
+            return None
+        acc = out[done : done + ends.size].view(np.uint64)
+        for k in range(wide - 1, -1, -1):
+            digit = c[np.maximum(ends - 1 - k, 0)] - ord("0")
+            digit[widths <= k] = 0
+            acc *= 10
+            acc += digit
+        done, lo = done + ends.size, hi
+    return None if (out < 0).any() else out.reshape(rows, cols)
 
 
 def parse_matrix(text: str) -> IntMatrix:
@@ -290,7 +329,8 @@ def parse_matrix(text: str) -> IntMatrix:
     separated by whitespace.  LF and CRLF both work; trailing blank lines
     are ignored.  Anything else (empty input, ragged rows, negative or
     non-integer tokens) raises.  Canonical text, as ``serialize`` writes
-    it, is parsed by numpy in one pass; other text goes token by token.
+    it, is checked and converted byte-wise by numpy; any other text goes
+    token by token, and only that path words the errors.
     """
     fast = _parse_canonical(text.rstrip("\n"))
     if fast is not None:

@@ -18,9 +18,11 @@ from tropdet import (
     brute_L,
     brute_U,
     brute_assignment,
+    check_certificate,
     construct_max_tropdet,
     construct_min_tdet,
     count_D,
+    extremal_certificate,
     has_transversal_above,
     largest_low_block,
     lower_bound_L,
@@ -143,6 +145,14 @@ def test_criterion_04():
     for (m, n), (low, got_min, high, got_max) in sweep.items():
         assert got_min == low.value, ("min", m, n, got_min, low.value)
         assert got_max == high.value, ("max", m, n, got_max, high.value)
+        # Each construction also proves its value with closed-form duals.
+        for build, objective, maximize, bound in (
+            (construct_min_tdet, "min-tdet", True, low),
+            (construct_max_tropdet, "max-tropdet", False, high),
+        ):
+            cert = extremal_certificate(m, n, objective)
+            proved = check_certificate(build(m, n).matrix, cert, maximize)
+            assert proved.value == bound.value, (objective, m, n, proved.value)
     # membership is enforced by construct_* returning validated members;
     # spot-check revalidation on a diagonal of the sweep anyway
     for n in SWEEP_NS:

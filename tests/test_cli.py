@@ -1,10 +1,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import CIRCULANT_4_6_TEXT
+import tropdet
 from tropdet import construct_min_tdet, lower_bound_L, serialize, upper_bound_U
 from tropdet.cli import main
 
@@ -357,6 +362,36 @@ class TestExitCodes:
         monkeypatch.setattr("tropdet.cli._cmd_bounds", fail)
         code, out, err = run(capsys, "bounds", "--m", "7", "--n", "6")
         assert (code, out, err) == (1, "", line)
+
+    @pytest.mark.parametrize(
+        "argv,keep",
+        [
+            # 400 x 400 one-digit entries are 320 KB, past a 64 KB pipe
+            # buffer, so the command is still writing when the reader goes.
+            (["construct", "--m", "40", "--n", "400", "--objective", "min-tdet"], 10),
+            # Three short lines sit in stdout's buffer until it is flushed.
+            (["bounds", "--m", "7", "--n", "5"], 0),
+        ],
+        ids=["mid_write", "at_flush"],
+    )
+    def test_closed_reader_exits_1_without_traceback(self, argv, keep):
+        # Block-buffered stdout, the default for a pipe, so that output can
+        # still be pending when the interpreter exits.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(tropdet.__file__).resolve().parents[1])
+        with subprocess.Popen(
+            [sys.executable, "-c", "import sys; from tropdet.cli import main; sys.exit(main())"]
+            + argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert len(proc.stdout.read(keep)) == keep
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in err.decode()
+        assert "Exception ignored" not in err.decode()
 
 
 def _forbidden(*args, **kwargs):

@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CIRCULANT_4_6, CIRCULANT_4_6_TEXT, M5_SUM7, mat
@@ -14,6 +15,7 @@ from tropdet import (
     MatrixParseError,
     MatrixShapeError,
     parse_matrix,
+    random_ds,
     serialize,
     split,
     validate_ds,
@@ -153,6 +155,119 @@ class TestPlainFormat:
         assert text == plain_reference(a)
         if a.array.size:
             assert parse_matrix(text) == a
+
+
+def reference_parse(text: str) -> IntMatrix:
+    """parse_matrix's contract, one line and one token at a time."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise MatrixParseError("empty input")
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            raise MatrixParseError(f"line {lineno} is blank")
+        for tok in tokens:
+            if not (tok.isascii() and tok.isdigit()):
+                raise MatrixParseError(f"line {lineno}: bad token {tok!r} {BAD}")
+        rows.append([int(tok) for tok in tokens])
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise MatrixShapeError(
+                f"row {i + 1} has {len(row)} entries, expected {len(rows[0])}"
+            )
+    return IntMatrix(len(rows), len(rows[0]), rows)
+
+
+def outcome(parse, text):
+    try:
+        return ("ok", parse(text).array.tolist())
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@st.composite
+def codec_matrices(draw, least=0, side=6):
+    """Matrices of least to side rows and columns, whose entries
+    share one width of 1-19 digits or mix widths and the edge values 0,
+    9, 10, 2**63 - 1 and the entry limit of their shape."""
+    rows, cols = draw(st.integers(least, side)), draw(st.integers(least, side))
+    top = (2**63 - 1) // max(rows, cols, 1)
+
+    def of_width(w):
+        low = 10 ** (w - 1) if w > 1 else 0
+        return st.integers(min(low, top), min(10**w - 1, top))
+
+    if draw(st.booleans()):
+        entry = of_width(draw(st.integers(1, 19)))
+    else:
+        edges = [v for v in (0, 9, 10, 2**63 - 1, top) if v <= top]
+        entry = st.one_of(st.sampled_from(edges), st.integers(1, 19).flatmap(of_width))
+    size = rows * cols
+    return IntMatrix(rows, cols, draw(st.lists(entry, min_size=size, max_size=size)))
+
+
+MUTATION_BYTES = "0123456789 \n\r\t-"
+
+
+class TestCodec:
+    """The byte-level plain codec against per-token references."""
+
+    @given(codec_matrices())
+    def test_render_is_the_token_join_and_round_trips(self, a):
+        text = serialize(a)
+        assert text == plain_reference(a)
+        if a.array.size:
+            assert parse_matrix(text) == a
+
+    @settings(max_examples=12)
+    @given(codec_matrices(least=1, side=3))
+    def test_one_byte_mutations_match_reference_parser(self, a):
+        text = serialize(a)
+        variants = {text[:i] + text[i + 1 :] for i in range(len(text))}
+        for i in range(len(text) + 1):
+            for c in MUTATION_BYTES:
+                variants.add(text[:i] + c + text[i:])
+                variants.add(text[:i] + c + text[i + 1 :])
+        for variant in variants:
+            assert outcome(parse_matrix, variant) == outcome(reference_parse, variant)
+
+    @pytest.mark.parametrize("entries", [[1], [1, 10]], ids=["one_digit", "mixed"])
+    @pytest.mark.parametrize("row", [150, 299])
+    def test_moved_row_end_is_ragged(self, entries, row):
+        # Swapping the LF after `row` with the space before it keeps every
+        # count of spaces and LFs; only the LF positions show the ragged row.
+        cells = (entries * 90000)[: 300 * 300]
+        lines = [" ".join(map(str, cells[i : i + 300])) for i in range(0, len(cells), 300)]
+        assert _parse_canonical("\n".join(lines)).ravel().tolist() == cells
+        head, _, last = lines[row - 1].rpartition(" ")
+        lines[row - 1 : row + 1] = [head, last + " " + lines[row]]
+        text = "\n".join(lines)
+        assert _parse_canonical(text) is None
+        assert outcome(parse_matrix, text) == outcome(reference_parse, text) == (
+            "MatrixShapeError", f"row {row} has 299 entries, expected 300"
+        )
+
+    def test_peak_memory_stays_chunked(self):
+        # One pass may hold the text, the int64 result and chunk-sized
+        # temporaries, but no int64 array the size of the matrix beyond it.
+        a = random_ds(30, 1100, seed=5).matrix
+        assert int(a.array.max()) <= 9
+        text = serialize(a)
+        limit = len(text) + 8 * a.array.size + 4 * 2**20
+        tracemalloc.start()
+        try:
+            serialize(a)
+            render_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            parsed = parse_matrix(text)
+            parse_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == a
+        assert render_peak < limit and parse_peak < limit, (render_peak, parse_peak, limit)
 
 
 class TestParse:
