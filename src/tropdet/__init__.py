@@ -12,13 +12,12 @@ from .assignment import (
     Transversal,
     brute_assignment,
     check_certificate,
-    has_transversal_above,
     tdet,
     tropdet,
 )
 from .blocks import (
     BlockDecomposition,
-    arrange_block_corner,
+    has_transversal_above,
     largest_low_block,
     max_matching_above,
 )
@@ -88,17 +87,16 @@ __all__ = [
     "SplitParams",
     "Transversal",
     "TropdetError",
-    "arrange_block_corner",
     "brute_L",
     "brute_U",
-    "brute_assignment",
+    "brute_assignment",  # reference solver: tests check tdet/tropdet by it
     "check_certificate",
     "construct_max_tropdet",
     "construct_min_tdet",
     "count_D",
-    "enumerate_D",
+    "enumerate_D",  # unreduced walk: tests check count_D, brute_* by it
     "extremal_certificate",
-    "has_transversal_above",
+    "has_transversal_above",  # called by bench/'s sweep and large_n ops
     "largest_low_block",
     "lower_bound_L",
     "max_matching_above",

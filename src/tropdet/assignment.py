@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import max_matching_above
 from .errors import CertificateError, DomainError, MatrixShapeError, SizeGuardError
 from .matrices import IntMatrix
 
@@ -30,7 +29,6 @@ __all__ = [
     "tdet",
     "tropdet",
     "brute_assignment",
-    "has_transversal_above",
 ]
 
 BRUTE_MAX_N = 10
@@ -178,18 +176,3 @@ def brute_assignment(a: IntMatrix, objective: str) -> Transversal:
     assert best_perm is not None
     return Transversal(perm=best_perm, value=best_value)
 
-
-def has_transversal_above(
-    a: IntMatrix, t: int
-) -> tuple[bool, tuple[tuple[int, int], ...] | None]:
-    """Is there a full transversal using only entries strictly above t?
-
-    Full means min(rows, cols) entries, so rectangular matrices ask for a
-    system of distinct representatives of the shorter side.  Returns the
-    matched (row, column) pairs as witness, or None.
-    """
-    size = min(a.rows, a.cols)
-    nu, pairs = max_matching_above(a, t)
-    if nu >= size:
-        return True, pairs
-    return False, None

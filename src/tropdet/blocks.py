@@ -19,8 +19,8 @@ from .matrices import IntMatrix
 __all__ = [
     "BlockDecomposition",
     "max_matching_above",
+    "has_transversal_above",
     "largest_low_block",
-    "arrange_block_corner",
 ]
 
 
@@ -56,24 +56,33 @@ def max_matching_above(
     return len(pairs), pairs
 
 
+def has_transversal_above(
+    a: IntMatrix, t: int
+) -> tuple[bool, tuple[tuple[int, int], ...] | None]:
+    """Is there a full transversal using only entries strictly above t?
+
+    Full means min(rows, cols) entries, so rectangular matrices ask for a
+    system of distinct representatives of the shorter side.  Returns the
+    matched (row, column) pairs as witness, or None.
+    """
+    size = min(a.rows, a.cols)
+    nu, pairs = max_matching_above(a, t)
+    if nu >= size:
+        return True, pairs
+    return False, None
+
+
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Largest all-low block of a square matrix at a given threshold.
 
     row_set x col_set holds only entries <= threshold and maximizes
-    |row_set| + |col_set|.  k1, k2 are the complementary dimensions,
-    and row_perm / col_perm reorder the matrix so the block lands in the
-    lower-right corner.  Either index set may be empty; when no entry is
+    |row_set| + |col_set|.  Either index set may be empty; when no entry is
     low at all the row side is empty and the column side is everything.
     """
 
     row_set: tuple[int, ...]
     col_set: tuple[int, ...]
-    k1: int
-    k2: int
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
-    threshold: int
 
     @property
     def dimension_sum(self) -> int:
@@ -111,30 +120,7 @@ def largest_low_block(a: IntMatrix, t: int) -> BlockDecomposition:
         frontier = match_of_col[new_cols]
         reached_rows[frontier] = True
 
-    row_set = reached_rows.nonzero()[0].tolist()
-    col_set = (~reached_cols).nonzero()[0].tolist()
-    row_perm = (~reached_rows).nonzero()[0].tolist() + row_set
-    col_perm = reached_cols.nonzero()[0].tolist() + col_set
     return BlockDecomposition(
-        row_set=tuple(row_set),
-        col_set=tuple(col_set),
-        k1=n - len(row_set),
-        k2=n - len(col_set),
-        row_perm=tuple(row_perm),
-        col_perm=tuple(col_perm),
-        threshold=t,
+        row_set=tuple(reached_rows.nonzero()[0].tolist()),
+        col_set=tuple((~reached_cols).nonzero()[0].tolist()),
     )
-
-
-def arrange_block_corner(
-    a: IntMatrix, t: int
-) -> tuple[IntMatrix, BlockDecomposition]:
-    """Permute rows and columns so the largest low block sits lower-right.
-
-    Returns the permuted matrix together with the decomposition that
-    produced it.  Row and column permutations leave all transversal values
-    unchanged.
-    """
-    block = largest_low_block(a, t)
-    permuted = a.submatrix(block.row_perm, block.col_perm)
-    return permuted, block

@@ -73,11 +73,12 @@ def _nonneg_int(text: str) -> int:
 
 
 def _read_matrix(path: str) -> IntMatrix:
-    if path == "-":
-        return parse_matrix(sys.stdin.read())
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}")
     return parse_matrix(text)
 

@@ -45,7 +45,6 @@ class BlockPlan:
     a: int
     row_targets: tuple[int, ...]
     col_targets: tuple[int, ...]
-    cap: int
 
 
 def plan_hard_case(m: int, n: int) -> BlockPlan:
@@ -81,12 +80,7 @@ def plan_hard_case(m: int, n: int) -> BlockPlan:
     assert all(0 <= x <= q * l2 for x in row_targets)
     assert all(0 <= x <= q * l1 for x in col_targets)
     return BlockPlan(
-        l1=l1,
-        l2=l2,
-        a=a,
-        row_targets=row_targets,
-        col_targets=col_targets,
-        cap=q,
+        l1=l1, l2=l2, a=a, row_targets=row_targets, col_targets=col_targets
     )
 
 

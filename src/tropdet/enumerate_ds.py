@@ -40,11 +40,10 @@ DEFAULT_VISIT_BUDGET = 50_000_000
 
 @dataclass(frozen=True)
 class EnumStats:
-    """Outcome of a brute-force sweep: matrices visited, the extremum, and
-    the first (lexicographically smallest) witness attaining it."""
+    """Outcome of a brute-force sweep: count = |D(m, n)| (from count_D; the
+    branch and bound visits far fewer members), the extremum, and the first
+    (lexicographically smallest) witness attaining it."""
 
-    m: int
-    n: int
     count: int
     extremum: int
     witness: DSMatrix
@@ -68,7 +67,7 @@ def _row_pool(m: int, n: int, budget: int) -> tuple[tuple[int, ...], ...]:
     # is a lower bound on the total count: refuse before materializing.
     size = math.comb(m + n - 1, n - 1)
     if size > budget:
-        raise BudgetExceededError(0, budget, size)
+        raise BudgetExceededError(budget, size)
     return _compositions(m, n)
 
 
@@ -84,7 +83,7 @@ def _visit_flat(
         if placed == n - 1:
             count += 1
             if count > budget:
-                raise BudgetExceededError(count - 1, budget, count)
+                raise BudgetExceededError(budget, count)
             sink(acc + col_rem)
             return
         for j, rest in _placements(pool, 0, col_rem, m * (n - placed - 1), m):
@@ -135,7 +134,7 @@ def count_D(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> int:
             total += rec(left - 1, tuple(sorted(rest)))
             # A partial count is <= |D(m, n)|: refuse once it passes budget.
             if total > budget:
-                raise BudgetExceededError(budget, budget, total)
+                raise BudgetExceededError(budget, total)
         return total
 
     return rec(n, (m,) * n)
@@ -213,7 +212,7 @@ def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
     value = sign * best_key
     witness = validate_ds(IntMatrix(n, n, best_flat))
     assert (tdet if minimize else tropdet)(witness.matrix).value == value
-    return EnumStats(m=m, n=n, count=count, extremum=value, witness=witness)
+    return EnumStats(count=count, extremum=value, witness=witness)
 
 
 def brute_L(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> EnumStats:

@@ -49,13 +49,10 @@ class BudgetExceededError(TropdetError, RuntimeError):
     """An enumeration ran past its member budget.
 
     ``members`` is a proven lower bound on |D(m, n)| that passed the
-    budget, and what the message reports.  ``visited`` is how far the walk
-    got when it stopped: 0 when the row pool alone refused, the budget once
-    a count passed it.
+    budget, and what the message reports.
     """
 
-    def __init__(self, visited: int, budget: int, members: int):
-        self.visited = visited
+    def __init__(self, budget: int, members: int):
         self.budget = budget
         self.members = members
         super().__init__(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -115,38 +114,6 @@ class IntMatrix:
     def __hash__(self):
         return hash((self.array.shape, self.array.tobytes()))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        if not rows:
-            raise MatrixShapeError("no rows given")
-        width = len(rows[0])
-        for i, r in enumerate(rows):
-            if len(r) != width:
-                raise MatrixShapeError(
-                    f"row {i} has {len(r)} entries, expected {width}"
-                )
-        return cls(len(rows), width, rows)
-
-    def at(self, i: int, j: int) -> int:
-        return int(self.array[i, j])
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(self.array.sum(axis=1).tolist())
-
-    def col_sums(self) -> tuple[int, ...]:
-        return tuple(self.array.sum(axis=0).tolist())
-
-    def submatrix(
-        self, row_idx: Iterable[int], col_idx: Iterable[int]
-    ) -> "IntMatrix":
-        """Matrix restricted to (and reordered by) the given index lists."""
-        block = self.array[np.ix_(list(row_idx), list(col_idx))]
-        return IntMatrix(*block.shape, block)
-
-    def to_nested(self) -> list[list[int]]:
-        return self.array.tolist()
-
 
 @dataclass(frozen=True)
 class DSMatrix:
@@ -172,14 +139,6 @@ class SplitParams:
     n: int
     q: int
     r: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise DomainError(f"need m >= 1 and n >= 1, got m={self.m} n={self.n}")
-        if not (0 <= self.r < self.n) or self.q * self.n + self.r != self.m:
-            raise DomainError(
-                f"inconsistent split m={self.m} n={self.n} q={self.q} r={self.r}"
-            )
 
 
 def split(m: int, n: int) -> SplitParams:

@@ -4,6 +4,7 @@ The matrices below are small members of D(m, n) with known transversal
 extremes, used across the suite as fixed reference points.
 """
 
+import numpy as np
 from hypothesis import settings
 
 from tropdet import IntMatrix
@@ -13,7 +14,8 @@ settings.load_profile("package")
 
 
 def mat(rows) -> IntMatrix:
-    return IntMatrix.from_rows(rows)
+    a = np.asarray(rows)
+    return IntMatrix(*a.shape, a)
 
 
 # 5x5, line sums 7, tdet 9.

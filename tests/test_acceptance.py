@@ -181,7 +181,7 @@ def test_criterion_06():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         n = int(rng.integers(1, 8))
-        a = IntMatrix.from_rows(rng.integers(0, 21, size=(n, n)).tolist())
+        a = IntMatrix(n, n, rng.integers(0, 21, size=(n, n)))
         assert tdet(a).value == brute_assignment(a, "max").value
         assert tropdet(a).value == brute_assignment(a, "min").value
     return "200 matrices, n <= 7, entries in [0, 20]"
@@ -192,7 +192,7 @@ def _subset_best_sum(a, t):
     for i in range(a.rows):
         mask = 0
         for j in range(a.cols):
-            if a.at(i, j) > t:
+            if a.array[i, j] > t:
                 mask |= 1 << j
         masks.append(mask)
     best = 0
@@ -216,7 +216,7 @@ def test_criterion_07():
         density = densities[trial % len(densities)]
         raw = rng.integers(1, 6, size=(n, n))
         keep = rng.random(size=(n, n)) >= density
-        a = IntMatrix.from_rows((raw * keep).astype(int).tolist())
+        a = IntMatrix(n, n, raw * keep)
         size, _ = max_matching_above(a, 0)
         block = largest_low_block(a, 0)
         assert block.dimension_sum == 2 * n - size, (trial, n)

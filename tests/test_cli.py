@@ -160,6 +160,23 @@ class TestEval:
         code, out, err = run(capsys, "tdet", str(tmp_path / "absent.txt"))
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["tdet", "verify", "zero-block"])
+    def test_file_not_utf8_fails_cleanly(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 2\n\xff 1\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+    def test_stdin_not_utf8_fails_cleanly(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"1 2\n\xff 1\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "tdet", "-")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read -: ")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_member(self, capsys, tmp_path):

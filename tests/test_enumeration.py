@@ -51,7 +51,7 @@ def toy_members(m, n):
 
 class TestOrdering:
     def test_two_by_two_exact(self):
-        got = [a.to_nested() for a in collect(2, 2)]
+        got = [a.array.tolist() for a in collect(2, 2)]
         assert got == [
             [[0, 2], [2, 0]],
             [[1, 1], [1, 1]],
@@ -59,7 +59,7 @@ class TestOrdering:
         ]
 
     def test_permutation_matrices(self):
-        got = [a.to_nested() for a in collect(1, 3)]
+        got = [a.array.tolist() for a in collect(1, 3)]
         assert len(got) == 6
         for grid in got:
             assert sorted(sum(row) for row in grid) == [1, 1, 1]
@@ -67,7 +67,7 @@ class TestOrdering:
         assert got[-1] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_single_column(self):
-        got = [a.to_nested() for a in collect(5, 1)]
+        got = [a.array.tolist() for a in collect(5, 1)]
         assert got == [[[5]]]
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (4, 2)])
@@ -77,7 +77,7 @@ class TestOrdering:
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (1, 4)])
     def test_matches_reference_enumerator(self, m, n):
-        got = [a.to_nested() for a in collect(m, n)]
+        got = [a.array.tolist() for a in collect(m, n)]
         assert got == list(toy_members(m, n))
 
     def test_every_member_is_valid(self):
@@ -155,15 +155,17 @@ class TestBudget:
         # the first-row pool alone exceeds the budget, so no work starts
         with pytest.raises(BudgetExceededError) as err:
             count_D(10, 5, budget=100)
-        assert err.value.visited == 0
+        assert err.value.members == 1001  # the C(14, 4) first rows
         assert err.value.budget == 100
+        assert err.value.members > err.value.budget
 
     def test_midstream_stop(self):
-        # pool of 6 first rows passes the pre-check, then the walk trips
+        # pool of 6 first rows passes the pre-check, then a partial count does
         with pytest.raises(BudgetExceededError) as err:
             count_D(2, 3, budget=10)
-        assert err.value.visited == 10
+        assert err.value.members == 14
         assert err.value.budget == 10
+        assert err.value.members > err.value.budget
 
     def test_budget_exactly_sufficient(self):
         assert count_D(2, 3, budget=21) == 21
@@ -178,8 +180,9 @@ class TestBudget:
     def test_budget_counts_members_not_orbits(self, walk):
         with pytest.raises(BudgetExceededError) as err:
             walk(3, 4, budget=2007)
-        assert err.value.visited == 2007
+        assert err.value.members == 2008
         assert err.value.budget == 2007
+        assert err.value.members > err.value.budget
 
     def test_member_budget_exactly_sufficient(self):
         assert count_D(3, 4, budget=2008) == 2008
@@ -188,8 +191,9 @@ class TestBudget:
     def test_brute_U_budget_counts_members(self):
         with pytest.raises(BudgetExceededError) as err:
             brute_U(3, 4, budget=2007)
-        assert err.value.visited == 2007
+        assert err.value.members == 2008
         assert err.value.budget == 2007
+        assert err.value.members > err.value.budget
         assert brute_U(3, 4, budget=2008).count == 2008
 
 
@@ -208,7 +212,7 @@ class TestBruteExtremes:
                 for p in itertools.permutations(range(3))
             )
             if value == 3:
-                assert stats.witness.matrix.to_nested() == grid
+                assert stats.witness.matrix.array.tolist() == grid
                 break
 
     def test_hard_case_value(self):
@@ -331,12 +335,12 @@ class TestRandom:
         for seed in range(10):
             ds = random_ds(7, 4, seed=seed)
             assert ds.m == 7
-            assert set(ds.matrix.row_sums()) == {7}
-            assert set(ds.matrix.col_sums()) == {7}
+            assert set(ds.matrix.array.sum(axis=1).tolist()) == {7}
+            assert set(ds.matrix.array.sum(axis=0).tolist()) == {7}
 
     def test_m_one_gives_permutation(self):
         ds = random_ds(1, 6, seed=9)
         assert sorted(ds.matrix.entries) == [0] * 30 + [1] * 6
 
     def test_single_cell(self):
-        assert random_ds(4, 1, seed=0).matrix.to_nested() == [[4]]
+        assert random_ds(4, 1, seed=0).matrix.array.tolist() == [[4]]

@@ -350,22 +350,9 @@ class TestSerialize:
 
 
 class TestIntMatrix:
-    def test_row_and_col_sums(self):
-        a = mat([[1, 2], [3, 4]])
-        assert a.row_sums() == (3, 7)
-        assert a.col_sums() == (4, 6)
-
-    def test_at(self):
-        assert M5_SUM7.at(0, 2) == 2
-        assert M5_SUM7.at(4, 0) == 2
-
-    def test_submatrix_reorders(self):
-        a = mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert a.submatrix([2, 0], [1, 2]) == mat([[8, 9], [2, 3]])
-
     def test_empty_submatrix_allowed(self):
-        a = mat([[1, 2], [3, 4]])
-        sub = a.submatrix([], [0, 1])
+        block = mat([[1, 2], [3, 4]]).array[np.ix_([], [0, 1])]
+        sub = IntMatrix(*block.shape, block)
         assert sub.rows == 0 and sub.cols == 2
 
     def test_bad_entry_count(self):
@@ -387,14 +374,14 @@ class TestIntMatrix:
     def test_largest_exact_entries_accepted(self):
         top = (2**63 - 1) // 2
         a = IntMatrix(2, 2, (top, 0, 0, top))
-        assert a.row_sums() == (top, top)
-        assert IntMatrix(1, 1, (2**63 - 1,)).at(0, 0) == 2**63 - 1
+        assert a.array.sum(axis=1).tolist() == [top, top]
+        assert IntMatrix(1, 1, (2**63 - 1,)).array[0, 0] == 2**63 - 1
 
     def test_array_is_read_only(self):
         a = mat([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             a.array[0, 0] = 7
-        assert a.at(0, 0) == 1
+        assert a.array[0, 0] == 1
 
 
 class TestValidate:
