@@ -4,13 +4,12 @@ D(m, n) is the set of n x n non-negative integer matrices whose rows and
 columns all sum to m.  This package evaluates the sharp range of the
 maximum transversal sum (tdet) and minimum transversal sum (tropdet) over
 D(m, n), builds matrices attaining the extremes, and provides exact
-solvers, threshold-block analysis, exhaustive enumeration, and a CLI.
+solvers, threshold-block analysis, exhaustive counting and search, and a CLI.
 """
 
 from .assignment import (
     Certificate,
     Transversal,
-    brute_assignment,
     check_certificate,
     tdet,
     tropdet,
@@ -42,7 +41,6 @@ from .enumerate_ds import (
     brute_L,
     brute_U,
     count_D,
-    enumerate_D,
     random_ds,
 )
 from .errors import (
@@ -52,7 +50,6 @@ from .errors import (
     LineSumError,
     MatrixParseError,
     MatrixShapeError,
-    SizeGuardError,
     TropdetError,
 )
 from .matrices import (
@@ -83,18 +80,15 @@ __all__ = [
     "LineSumError",
     "MatrixParseError",
     "MatrixShapeError",
-    "SizeGuardError",
     "SplitParams",
     "Transversal",
     "TropdetError",
     "brute_L",
     "brute_U",
-    "brute_assignment",  # reference solver: tests check tdet/tropdet by it
     "check_certificate",
     "construct_max_tropdet",
     "construct_min_tdet",
     "count_D",
-    "enumerate_D",  # unreduced walk: tests check count_D, brute_* by it
     "extremal_certificate",
     "has_transversal_above",  # called by bench/'s sweep and large_n ops
     "largest_low_block",

@@ -14,12 +14,11 @@ complementary slackness).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateError, DomainError, MatrixShapeError, SizeGuardError
+from .errors import CertificateError, DomainError, MatrixShapeError
 from .matrices import IntMatrix
 
 __all__ = [
@@ -28,10 +27,8 @@ __all__ = [
     "check_certificate",
     "tdet",
     "tropdet",
-    "brute_assignment",
 ]
 
-BRUTE_MAX_N = 10
 # float64 holds every integer below 2**53 exactly; the solve runs in float64.
 FLOAT_EXACT = 2**53
 
@@ -144,35 +141,3 @@ def tdet(a: IntMatrix) -> Transversal:
 def tropdet(a: IntMatrix) -> Transversal:
     """Minimum transversal sum (min over permutations p of sum a[i][p(i)])."""
     return _solve(a, maximize=False)
-
-
-def brute_assignment(a: IntMatrix, objective: str) -> Transversal:
-    """Reference solver: enumerate all n! permutations.
-
-    Guarded at n <= 10.  Ties go to the lexicographically smallest
-    permutation, which makes the witness reproducible.
-    """
-    if objective not in ("max", "min"):
-        raise DomainError(f"objective must be 'max' or 'min', got {objective!r}")
-    n = _require_square(a)
-    if n > BRUTE_MAX_N:
-        raise SizeGuardError(
-            f"brute_assignment is limited to n <= {BRUTE_MAX_N}, got n = {n}"
-        )
-    entries = a.entries
-    best_perm: tuple[int, ...] | None = None
-    best_value = 0
-    for perm in itertools.permutations(range(n)):
-        value = 0
-        for i, j in enumerate(perm):
-            value += entries[i * n + j]
-        if (
-            best_perm is None
-            or (objective == "max" and value > best_value)
-            or (objective == "min" and value < best_value)
-        ):
-            best_perm = perm
-            best_value = value
-    assert best_perm is not None
-    return Transversal(perm=best_perm, value=best_value)
-

@@ -1,14 +1,13 @@
-"""Exhaustive enumeration of D(m, n) and brute-force extremes.
+"""Exhaustive counting of D(m, n) and brute-force extremes.
 
 Matrices are built row by row, in ascending row-major order, from the
 compositions of m into n parts.  A prefix survives only while every column
 remainder stays between 0 and m * rows_left, so it completes (the last row
-is forced).  `enumerate_D` visits every member; `count_D` counts them,
-memoised on the sorted column remainders; `brute_L` and `brute_U` branch
-and bound over the members with sorted rows, one per row orbit, since
-permuting rows changes neither tdet nor tropdet.  A budget, counted in
-members, caps the work: `enumerate_D` stops after that many, and the
-others refuse once a count passes it.
+is forced).  `count_D` counts the members, memoised on the sorted column
+remainders; `brute_L` and `brute_U` branch and bound over the members with
+sorted rows, one per row orbit, since permuting rows changes neither tdet
+nor tropdet.  A budget, counted in members, caps the work: each refuses
+once a count passes it.
 """
 
 from __future__ import annotations
@@ -17,18 +16,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .assignment import tdet, tropdet
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, TropdetError
 from .matrices import DSMatrix, IntMatrix, split, validate_ds
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
     "EnumStats",
-    "enumerate_D",
     "count_D",
     "brute_L",
     "brute_U",
@@ -61,7 +58,8 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _row_pool(m: int, n: int, budget: int) -> tuple[tuple[int, ...], ...]:
-    """The candidate rows, after both walks' up-front checks."""
+    """The candidate rows: the compositions of m into n parts, once m and n
+    are in the domain and the rows are no more than the budget."""
     split(m, n)  # domain check
     # Each first row extends to at least one member, so the row pool size
     # is a lower bound on the total count: refuse before materializing.
@@ -69,39 +67,6 @@ def _row_pool(m: int, n: int, budget: int) -> tuple[tuple[int, ...], ...]:
     if size > budget:
         raise BudgetExceededError(budget, size)
     return _compositions(m, n)
-
-
-def _visit_flat(
-    m: int, n: int, budget: int, sink: Callable[[tuple[int, ...]], None]
-) -> int:
-    """Feed every member of D(m, n), flattened row-major, to sink."""
-    pool = _row_pool(m, n, budget)
-    count = 0
-
-    def rec(placed: int, col_rem: tuple[int, ...], acc: tuple[int, ...]):
-        nonlocal count
-        if placed == n - 1:
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(budget, count)
-            sink(acc + col_rem)
-            return
-        for j, rest in _placements(pool, 0, col_rem, m * (n - placed - 1), m):
-            rec(placed + 1, rest, acc + pool[j])
-
-    rec(0, (m,) * n, ())
-    return count
-
-
-def enumerate_D(
-    m: int,
-    n: int,
-    visitor: Callable[[IntMatrix], None],
-    budget: int = DEFAULT_VISIT_BUDGET,
-) -> int:
-    """Call visitor on every member of D(m, n) exactly once, in ascending
-    row-major lexicographic order.  Returns the visit count."""
-    return _visit_flat(m, n, budget, lambda flat: visitor(IntMatrix(n, n, flat)))
 
 
 def _placements(pool, start, col_rem, cap, top):
@@ -211,7 +176,13 @@ def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
     rec(0, 0, [0], (m,) * n, ())
     value = sign * best_key
     witness = validate_ds(IntMatrix(n, n, best_flat))
-    assert (tdet if minimize else tropdet)(witness.matrix).value == value
+    name, solve = ("tdet", tdet) if minimize else ("tropdet", tropdet)
+    check = solve(witness.matrix).value
+    if check != value:
+        raise TropdetError(
+            f"search witness fails its re-check: {name} is {check}, "
+            f"the search found {value}"
+        )
     return EnumStats(count=count, extremum=value, witness=witness)
 
 

@@ -37,10 +37,6 @@ class DomainError(TropdetError, ValueError):
     """Arguments are outside the mathematical domain of the operation."""
 
 
-class SizeGuardError(TropdetError, ValueError):
-    """Input exceeds the hard size guard of a brute-force routine."""
-
-
 class CertificateError(TropdetError, ValueError):
     """An optimality certificate failed its exact check."""
 

@@ -9,7 +9,6 @@ sums everywhere.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import InitVar, dataclass, field
 
@@ -332,15 +331,8 @@ def structured_doc(matrix: IntMatrix | DSMatrix) -> dict:
     return doc
 
 
-def serialize(matrix: IntMatrix | DSMatrix, fmt: str = "plain") -> str:
-    """Render a matrix in the plain or structured (JSON) format.
-
-    Plain output round-trips through parse_matrix.  Structured output is
-    ``structured_doc`` as JSON.
-    """
-    if fmt == "plain":
-        a = matrix.matrix.array if isinstance(matrix, DSMatrix) else matrix.array
-        return _render(a)
-    if fmt == "structured":
-        return json.dumps(structured_doc(matrix))
-    raise DomainError(f"unknown format {fmt!r} (expected 'plain' or 'structured')")
+def serialize(matrix: IntMatrix | DSMatrix) -> str:
+    """Render a matrix in the plain format, which round-trips through
+    parse_matrix."""
+    a = matrix.matrix.array if isinstance(matrix, DSMatrix) else matrix.array
+    return _render(a)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import mat
+from reference import low_block_sum
 from tropdet import (
     MatrixShapeError,
     construct_min_tdet,
@@ -15,31 +16,6 @@ from tropdet import (
     max_matching_above,
     random_ds,
 )
-
-
-def brute_best_sum(a, t):
-    """Max |R| + |S| with every entry of R x S at most t, by row subsets.
-
-    For a fixed row set R the best column set is everything outside the
-    neighborhood of R, so one pass over the 2^rows subsets is exact.
-    """
-    masks = []
-    for i in range(a.rows):
-        mask = 0
-        for j in range(a.cols):
-            if a.array[i, j] > t:
-                mask |= 1 << j
-        masks.append(mask)
-    best = 0
-    for sub in range(1 << a.rows):
-        neigh = 0
-        size = 0
-        for i, mk in enumerate(masks):
-            if (sub >> i) & 1:
-                neigh |= mk
-                size += 1
-        best = max(best, size + a.cols - neigh.bit_count())
-    return best
 
 
 def random_square(rng, n, density):
@@ -131,7 +107,7 @@ class TestAgainstBrute:
             size, _ = max_matching_above(a, t)
             block = largest_low_block(a, t)
             assert block.dimension_sum == 2 * n - size
-            assert block.dimension_sum == brute_best_sum(a, t)
+            assert block.dimension_sum == low_block_sum(a.array, t)
             for i in block.row_set:
                 for j in block.col_set:
                     assert a.array[i, j] <= t

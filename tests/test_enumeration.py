@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import compositions, members, transversal_sums
 from tropdet import (
     BudgetExceededError,
     DomainError,
     IntMatrix,
-    brute_assignment,
+    Transversal,
+    TropdetError,
     brute_L,
     brute_U,
     count_D,
-    enumerate_D,
     lower_bound_L,
     random_ds,
     tdet,
@@ -22,23 +23,12 @@ from tropdet import (
     upper_bound_U,
     validate_ds,
 )
+from tropdet.cli import main
 from tropdet.enumerate_ds import _extend, _prefix_bound, _subsets
 
 
-def collect(m, n, budget=10**6):
-    seen = []
-    count = enumerate_D(m, n, seen.append, budget=budget)
-    assert count == len(seen)
-    return seen
-
-
-def compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+def collect(m, n):
+    return [IntMatrix(n, n, flat) for flat in members(m, n)]
 
 
 def toy_members(m, n):
@@ -207,11 +197,7 @@ class TestBruteExtremes:
     def test_min_witness_is_first_attaining(self):
         stats = brute_L(2, 3)
         for grid in toy_members(2, 3):
-            value = max(
-                sum(grid[i][p[i]] for i in range(3))
-                for p in itertools.permutations(range(3))
-            )
-            if value == 3:
+            if transversal_sums(grid).max() == 3:
                 assert stats.witness.matrix.array.tolist() == grid
                 break
 
@@ -238,22 +224,32 @@ class TestBruteExtremes:
         with pytest.raises(BudgetExceededError):
             brute_L(2, 3, budget=5)
 
+    def test_witness_recheck_raises(self, monkeypatch, capsys):
+        # An explicit check, not an assert: python -O keeps it, and the CLI
+        # reports it as one error line instead of a traceback.
+        monkeypatch.setattr(
+            "tropdet.enumerate_ds.tdet",
+            lambda a: Transversal(tdet(a).perm, tdet(a).value + 1),
+        )
+        with pytest.raises(TropdetError, match="tdet is 4, the search found 3"):
+            brute_L(2, 3)
+        assert main(["enumerate", "--m", "2", "--n", "3", "--stat", "min-tdet"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 def unreduced_extremes(m, n):
     """|D(m, n)| and, for tdet's minimum and tropdet's maximum, the value
-    and the first member attaining it, from every member in enumerate_D's
-    order and every permutation from itertools."""
-    members = np.array([a.entries for a in collect(m, n)], dtype=np.int64)
-    cells = np.array(
-        [[i * n + p[i] for i in range(n)] for p in itertools.permutations(range(n))]
-    )
-    sums = members[:, cells].sum(axis=2)
+    and the first member attaining it, from every member of the reference
+    walk and every permutation's sum."""
+    flats = np.array(list(members(m, n)), dtype=np.int64)
+    sums = transversal_sums(flats.reshape(-1, n, n))
     tdets, tropdets = sums.max(axis=1), sums.min(axis=1)
     low, high = int(tdets.argmin()), int(tropdets.argmax())
     return (
-        len(members),
-        (int(tdets[low]), tuple(members[low].tolist())),
-        (int(tropdets[high]), tuple(members[high].tolist())),
+        len(flats),
+        (int(tdets[low]), tuple(flats[low].tolist())),
+        (int(tropdets[high]), tuple(flats[high].tolist())),
     )
 
 
@@ -304,8 +300,8 @@ class TestPrefixBound:
     @given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))
     def test_bounds_every_prefix(self, m, n, seed):
         a = random_ds(m, n, seed=seed).matrix
-        high = brute_assignment(a, "max").value
-        low = brute_assignment(a, "min").value
+        sums = transversal_sums(a.array)
+        high, low = int(sums.max()), int(sums.min())
         levels = _subsets(n)
         g_max, g_min, col_rem = [0], [0], [m] * n
         for k, row in enumerate(a.array.tolist()):

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -20,7 +19,7 @@ from tropdet import (
     split,
     validate_ds,
 )
-from tropdet.matrices import _CHUNK, _parse_canonical
+from tropdet.matrices import _CHUNK, _parse_canonical, structured_doc
 
 
 # Outcomes of parse_matrix recorded from the per-token parser before the
@@ -322,18 +321,13 @@ class TestSerialize:
         assert not text.endswith("\n")
 
     def test_structured(self):
-        doc = json.loads(serialize(mat([[1, 2], [3, 4]]), "structured"))
+        doc = structured_doc(mat([[1, 2], [3, 4]]))
         assert doc == {"rows": 2, "cols": 2, "entries": [1, 2, 3, 4]}
 
     def test_structured_carries_m_for_members(self):
-        ds = validate_ds(M5_SUM7)
-        doc = json.loads(serialize(ds, "structured"))
+        doc = structured_doc(validate_ds(M5_SUM7))
         assert doc["m"] == 7
         assert doc["rows"] == doc["cols"] == 5
-
-    def test_unknown_format(self):
-        with pytest.raises(DomainError):
-            serialize(mat([[1]]), "yaml")
 
     @given(
         st.integers(1, 5).flatmap(

@@ -1,4 +1,5 @@
-"""The public surface, and what the frozen benchmark reads of it.
+"""The public surface, what the frozen benchmark reads of it, and the
+independence of the tests' references from the package.
 
 Adding or removing a public name takes an edit here, so each change to
 the surface is a deliberate one.  The benchmark under bench/ calls the
@@ -8,6 +9,7 @@ deletion that would break it without running it.
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,18 +41,15 @@ PUBLIC = [
     "LineSumError",
     "MatrixParseError",
     "MatrixShapeError",
-    "SizeGuardError",
     "SplitParams",
     "Transversal",
     "TropdetError",
     "brute_L",
     "brute_U",
-    "brute_assignment",
     "check_certificate",
     "construct_max_tropdet",
     "construct_min_tdet",
     "count_D",
-    "enumerate_D",
     "extremal_certificate",
     "has_transversal_above",
     "largest_low_block",
@@ -76,6 +75,19 @@ def test_public_names():
     assert sorted(tropdet.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(tropdet, name), name
+
+
+def test_references_import_no_tropdet():
+    # A reference that shares code with the package shares its faults: numpy
+    # and the standard library only (not conftest, which imports tropdet).
+    tree = ast.parse(Path(__file__).with_name("reference.py").read_text("utf-8"))
+    tops = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            tops.add("." * node.level + (node.module or "").split(".")[0])
+    assert tops - sys.stdlib_module_names == {"numpy"}, tops
 
 
 @pytest.mark.parametrize("name", MODULES)
