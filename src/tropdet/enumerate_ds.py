@@ -4,10 +4,12 @@ Matrices are built row by row, in ascending row-major order, from the
 compositions of m into n parts.  A prefix survives only while every column
 remainder stays between 0 and m * rows_left, so it completes (the last row
 is forced).  `count_D` counts the members, memoised on the sorted column
-remainders; `brute_L` and `brute_U` branch and bound over the members with
-sorted rows, one per row orbit, since permuting rows changes neither tdet
-nor tropdet.  A budget, counted in members, caps the work: each refuses
-once a count passes it.
+remainders, with the last two rows in closed form.  `brute_L` and `brute_U`
+branch and bound over the members with sorted rows (permuting rows changes
+neither tdet nor tropdet), trying only rows that do not fall between two
+adjacent columns equal on every placed row: orderly generation up to
+column permutations too.  A budget, counted in members, caps the work:
+each refuses once a count passes it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import tdet, tropdet
-from .errors import BudgetExceededError, TropdetError
+from .errors import BudgetExceededError, DomainError, TropdetError
 from .matrices import DSMatrix, IntMatrix, split, validate_ds
 
 __all__ = [
@@ -69,12 +71,15 @@ def _row_pool(m: int, n: int, budget: int) -> tuple[tuple[int, ...], ...]:
     return _compositions(m, n)
 
 
-def _placements(pool, start, col_rem, cap, top):
+def _placements(pool, start, col_rem, cap, top, falls=(), tied=0):
     """(index, column remainders after it) for each row of pool[start:] that
-    keeps every remainder in [0, cap], until a first entry passes top."""
+    keeps every remainder in [0, cap] and falls across no tied column pair
+    (bit i: columns i, i + 1), until a first entry passes top."""
     for j in range(start, len(pool)):
         if pool[j][0] > top:
             return
+        if tied and falls[j] & tied:
+            continue
         rest = []
         for c, x in zip(col_rem, pool[j]):
             d = c - x
@@ -92,8 +97,8 @@ def count_D(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> int:
 
     @functools.cache
     def rec(left: int, col_rem: tuple[int, ...]) -> int:
-        if left == 1:
-            return 1
+        if left <= 2:
+            return 1 if left == 1 else _two_rows(m, col_rem)
         total = 0
         for _, rest in _placements(pool, 0, col_rem, m * (left - 1), m):
             total += rec(left - 1, tuple(sorted(rest)))
@@ -103,6 +108,21 @@ def count_D(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> int:
         return total
 
     return rec(n, (m,) * n)
+
+
+def _two_rows(m: int, col_rem: tuple[int, ...]) -> int:
+    """How many rows x of sum m have max(0, c_j - m) <= x_j <= min(c_j, m).
+    Less the lower limits they sum to t with x_j <= w_j, so by inclusion-
+    exclusion over the columns S past w_j: sum over S of (-1)^|S| times
+    C(t - sum_S (w_j + 1) + n - 1, n - 1), each c_j - x_j then in [0, m]."""
+    lows = [max(0, c - m) for c in col_rem]
+    t = m - sum(lows)
+    terms = [(0, 1)]  # (sum over S of w_j + 1, (-1)^|S|); sums past t give 0
+    for c, low in zip(col_rem, lows):
+        step = min(c, m) - low + 1
+        terms += [(d + step, -s) for d, s in terms if d + step <= t]
+    n = len(col_rem)
+    return sum(s * math.comb(t - d + n - 1, n - 1) for d, s in terms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,15 +169,26 @@ def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
     key, so on the path to w the best key is > K while every bound is <= K;
     w is reached, and nothing after replaces it.  An orbit's row-sorted
     member is its lex-smallest, so w is the lex-first attaining member.
+
+    A row is tried only if it does not fall across a tied pair: adjacent
+    columns equal on every placed row (all pairs at the root), which join
+    the columns into intervals.  Were row k + 1 of w to fall inside an
+    interval of rows 1..k, sorting each interval's columns by row k + 1
+    would keep rows 1..k and make row k + 1 lex-smaller (row k < row k + 1,
+    as row k is constant on each interval); sorting the rows again gives a
+    lex-smaller row-sorted member with the same key, against the choice of
+    w.  So every prefix of w passes, and the argument above still holds.
     """
     count = count_D(m, n, budget)
     pool = _compositions(m, n)
     sign = 1 if minimize else -1
     signed = [tuple(sign * x for x in row) for row in pool]
+    falls = [sum(1 << i for i in range(n - 1) if r[i] > r[i + 1]) for r in pool]
+    ties = [sum(1 << i for i in range(n - 1) if r[i] == r[i + 1]) for r in pool]
     levels = _subsets(n)
     best_key, best_flat = math.inf, ()
 
-    def rec(placed, prev, g, col_rem, acc):
+    def rec(placed, prev, g, col_rem, acc, tied):
         nonlocal best_key, best_flat
         left = n - placed
         bound = _prefix_bound(g, levels[placed], col_rem, left, sign)
@@ -169,11 +200,12 @@ def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
             return
         # Each row left is >= pool[j], so takes pool[j][0] or more of column 0.
         top = col_rem[0] // left
-        for j, rest in _placements(pool, prev, col_rem, m * (left - 1), top):
+        cap = m * (left - 1)
+        for j, rest in _placements(pool, prev, col_rem, cap, top, falls, tied):
             g_next = _extend(g, signed[j], levels[placed + 1])
-            rec(placed + 1, j, g_next, rest, acc + pool[j])
+            rec(placed + 1, j, g_next, rest, acc + pool[j], tied & ties[j])
 
-    rec(0, 0, [0], (m,) * n, ())
+    rec(0, 0, [0], (m,) * n, (), (1 << (n - 1)) - 1)
     value = sign * best_key
     witness = validate_ds(IntMatrix(n, n, best_flat))
     name, solve = ("tdet", tdet) if minimize else ("tropdet", tropdet)
@@ -203,6 +235,8 @@ def random_ds(m: int, n: int, seed: int | None = None) -> DSMatrix:
     distribution is not uniform.  Deterministic for a fixed seed.
     """
     split(m, n)
+    if m * n > DEFAULT_VISIT_BUDGET:
+        raise DomainError(f"random needs m * n <= {DEFAULT_VISIT_BUDGET}, got {m * n}")
     rng = np.random.default_rng(seed)
     acc = np.zeros((n, n), dtype=np.int64)
     rows = np.arange(n)

@@ -260,6 +260,16 @@ class TestEnumerate:
         assert err.startswith("error:")
         assert "budget" in err
 
+    def test_count_past_budget_refuses_at_n_three(self, capsys):
+        # |D(200, 3)| = 206,075,451 passes the default budget of 5 * 10^7
+        code, out, err = run(
+            capsys, "enumerate", "--m", "200", "--n", "3", "--stat", "count"
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "budget 50000000" in err
+
     def test_budget_env_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("TROPDET_MAX_VISITS", "soon")
         code, _, err = run(
@@ -352,6 +362,14 @@ class TestRandom:
         assert doc["seed"] == 11
         assert doc["m"] == 4
         assert len(doc["entries"]) == 9
+
+
+    def test_draws_past_visit_budget_refuse(self, capsys):
+        code, out, err = run(capsys, "random", "--m", "10000000000", "--n", "2")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "m * n <= 50000000" in err
 
 
 class TestExitCodes:

@@ -24,7 +24,7 @@ from tropdet import (
     validate_ds,
 )
 from tropdet.cli import main
-from tropdet.enumerate_ds import _extend, _prefix_bound, _subsets
+from tropdet.enumerate_ds import _extend, _prefix_bound, _subsets, _two_rows
 
 
 def collect(m, n):
@@ -101,8 +101,30 @@ class TestCounting:
             count_D(0, 3)
 
     def test_macmahon_three_by_three(self):
-        for m in range(1, 31):
-            assert count_D(m, 3) == math.comb(m + 2, 2) + 3 * math.comb(m + 3, 4)
+        for m in range(1, 201):
+            expected = math.comb(m + 2, 2) + 3 * math.comb(m + 3, 4)
+            assert count_D(m, 3, budget=10**10) == expected
+
+    def test_default_budget_refuses_two_hundred_by_three(self):
+        # |D(200, 3)| = 206,075,451; the partial count passes 5 * 10^7 first
+        with pytest.raises(BudgetExceededError) as err:
+            count_D(200, 3)
+        assert err.value.budget == 50_000_000
+        assert 50_000_000 < err.value.members <= 206_075_451
+
+    @given(st.data(), st.integers(1, 6), st.integers(1, 12))
+    def test_two_rows_match_direct_count(self, data, n, m):
+        # column remainders for two rows: a composition of 2m into n parts
+        col_rem, rest = [], 2 * m
+        for _ in range(n - 1):
+            col_rem.append(data.draw(st.integers(0, rest)))
+            rest -= col_rem[-1]
+        col_rem.append(rest)
+        direct = sum(
+            all(0 <= c - x <= m for c, x in zip(col_rem, row))
+            for row in compositions(m, n)
+        )
+        assert _two_rows(m, tuple(col_rem)) == direct
 
     # OEIS A000681: n x n matrices of nonnegative integers, line sums 2.
     @pytest.mark.parametrize(
@@ -279,17 +301,57 @@ class TestRowOrbitWalk:
             assert stats.witness.matrix.entries == witness
 
 
+def digits(text):
+    """A flat matrix written as its single-digit entries, rows spaced."""
+    return tuple(int(d) for d in text if d != " ")
+
+
+# The lex-first witnesses of brute_L and brute_U, recorded before the
+# column-class filter was added to the search, on cells where it prunes.
+PINNED_WITNESSES = {
+    (8, 4): (digits("2222 2222 2222 2222"), digits("2222 2222 2222 2222")),
+    (7, 4): (digits("1222 2122 2212 2221"), digits("1114 2221 2221 2221")),
+    (4, 5): (
+        digits("01111 10111 11011 11101 11110"),
+        digits("00004 11110 11110 11110 11110"),
+    ),
+    (5, 5): (
+        digits("11111 11111 11111 11111 11111"),
+        digits("11111 11111 11111 11111 11111"),
+    ),
+    (3, 6): (
+        digits("000111 000111 000111 111000 111000 111000"),
+        digits("000003 000030 000300 003000 030000 300000"),
+    ),
+    (2, 6): (
+        digits("000011 000011 001100 001100 110000 110000"),
+        digits("000002 000020 000200 002000 020000 200000"),
+    ),
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(PINNED_WITNESSES))
+def test_pinned_witnesses(m, n):
+    low, high = PINNED_WITNESSES[(m, n)]
+    assert brute_L(m, n).witness.matrix.entries == low
+    assert brute_U(m, n).witness.matrix.entries == high
+
+
 class TestWiderGrid:
     """Cells past the default budget: the searches still agree with the
     closed forms and with the pinned counts."""
 
-    @pytest.mark.parametrize("m,n", [(6, 5), (7, 5), (8, 5), (4, 6)])
+    @pytest.mark.parametrize(
+        "m,n", [(6, 5), (7, 5), (8, 5), (4, 6), (3, 7), (2, 8), (4, 7), (2, 9)]
+    )
     def test_extremes_match_closed_forms(self, m, n):
-        low = brute_L(m, n, budget=10**10)
-        high = brute_U(m, n, budget=10**10)
+        low = brute_L(m, n, budget=10**13)
+        high = brute_U(m, n, budget=10**13)
         assert low.extremum == lower_bound_L(m, n).value
         assert high.extremum == upper_bound_U(m, n).value
-        assert low.count == high.count == PINNED_COUNTS[(m, n)]
+        assert low.count == high.count
+        if (m, n) in PINNED_COUNTS:
+            assert low.count == PINNED_COUNTS[(m, n)]
 
 
 class TestPrefixBound:
@@ -340,3 +402,9 @@ class TestRandom:
 
     def test_single_cell(self):
         assert random_ds(4, 1, seed=0).matrix.array.tolist() == [[4]]
+
+    def test_draws_capped_by_visit_budget(self, monkeypatch):
+        monkeypatch.setattr("tropdet.enumerate_ds.DEFAULT_VISIT_BUDGET", 12)
+        assert random_ds(4, 3, seed=0).m == 4  # m * n = 12, just at the limit
+        with pytest.raises(DomainError, match=r"m \* n <= 12, got 13"):
+            random_ds(13, 1, seed=0)
