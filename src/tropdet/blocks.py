@@ -3,8 +3,12 @@
 For a threshold t, build the bipartite graph joining row i to column j
 whenever A[i][j] > t.  A maximum matching there is a longest partial
 transversal of entries above t; its complement, through minimum vertex
-covers, is the largest all-low block: index sets R, S with every entry of
-R x S at most t and |R| + |S| = 2n - matching size.
+covers (König), is the largest all-low block: index sets R, S with every
+entry of R x S at most t and |R| + |S| = 2n - matching size.
+
+The matching is an augmenting-path search in plain Python over rows held
+as int bitsets, and the same pass yields the cover, so no graph library
+is loaded.
 """
 
 from __future__ import annotations
@@ -24,21 +28,82 @@ __all__ = [
 ]
 
 
-def _match_rows(above: np.ndarray) -> np.ndarray:
-    """Hopcroft-Karp maximum matching of the bipartite graph ``above``
-    (row i joined to column j where above[i, j]): the matched column of
-    each row, -1 for unmatched rows."""
-    # scipy.sparse is most of the package's import time, and only the
-    # matchers need it.
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_bipartite_matching
+def _match_rows(above: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Maximum matching of the bipartite graph ``above`` (row i joined to
+    column j where above[i, j]) and the rows and columns that alternating
+    paths reach from its unmatched rows.
 
-    rows, cols = above.nonzero()
-    indptr = np.searchsorted(rows, np.arange(above.shape[0] + 1))
-    graph = csr_array(
-        (np.ones(cols.size, dtype=bool), cols, indptr), shape=above.shape
-    )
-    return maximum_bipartite_matching(graph, perm_type="column")
+    Returns the matched column of each row (-1 for unmatched rows), then
+    the reached rows and columns, unsorted.  Rows are bitsets of their
+    columns.  A greedy pass gives each row its lowest free column; then
+    each unmatched row searches breadth-first for an augmenting path,
+    iteratively, and flips it.
+
+    A failed search drops the columns C it reached, for good.  It leaves
+    the matching unchanged, every column of C is matched into the rows R
+    it reached, and N(R) lies in C and the columns dropped before.  So an
+    alternating path that enters C stays in R and C (or earlier dropped
+    sets, by induction) and never ends at a free column: no later
+    augmenting path passes through C, and C keeps its partners.  A row
+    with no augmenting path never gains one after other augmentations, so
+    one search per row gives a maximum matching.  By the same argument the
+    dropped columns, with their partners and the unmatched rows, are
+    exactly what alternating paths reach from the unmatched rows at the
+    end: each failed row stays unmatched, and its reach at the end is what
+    its search saw, through matching edges that never changed.
+    """
+    rows, cols = above.shape
+    packed = np.packbits(above, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    adj = [
+        int.from_bytes(data[i * width : (i + 1) * width], "little")
+        for i in range(rows)
+    ]
+
+    match = [-1] * rows
+    partner = [-1] * cols
+    free = (1 << cols) - 1
+    for r, hit in enumerate(adj):
+        hit &= free
+        if hit:
+            c = (hit & -hit).bit_length() - 1
+            match[r], partner[c] = c, r
+            free ^= 1 << c
+
+    live = (1 << cols) - 1  # the columns not yet dropped
+    reached_rows: list[int] = []
+    reached_cols: list[int] = []
+    unmatched = [r for r, c in enumerate(match) if c < 0]
+    for r in unmatched:
+        queue, parent, unseen, end = [r], {}, live, -1
+        for x in queue:  # grows while it is read: breadth first
+            hit = adj[x] & unseen
+            unseen ^= hit
+            while hit:
+                low = hit & -hit
+                c = low.bit_length() - 1
+                parent[c] = x
+                if low & free:
+                    end = c
+                    break
+                queue.append(partner[c])
+                hit ^= low
+            if end >= 0:
+                break
+        if end < 0:
+            live = unseen
+            reached_rows += queue
+            reached_cols += parent
+            continue
+        # Flip the path back to r: each row on it takes the column it reached.
+        free ^= 1 << end
+        c = end
+        while c >= 0:
+            x = parent[c]
+            partner[c] = x
+            match[x], c = c, match[x]
+    return match, reached_rows, reached_cols
 
 
 def max_matching_above(
@@ -48,11 +113,10 @@ def max_matching_above(
 
     Works on rectangular matrices.  Returns the matching size and the
     matched (row, column) pairs sorted by row.  Which maximum matching
-    comes back is up to Hopcroft-Karp; the size is the contract.
+    comes back is an implementation detail; the size is the contract.
     """
-    match = _match_rows(a.array > t)
-    matched = (match >= 0).nonzero()[0]
-    pairs = tuple(zip(matched.tolist(), match[matched].tolist()))
+    match = _match_rows(a.array > t)[0]
+    pairs = tuple((i, j) for i, j in enumerate(match) if j >= 0)
     return len(pairs), pairs
 
 
@@ -94,33 +158,14 @@ def largest_low_block(a: IntMatrix, t: int) -> BlockDecomposition:
 
     Found through the minimum vertex cover of the above-t graph: rows
     reachable from unmatched rows by alternating paths lie outside every
-    minimum cover, so taking R = reachable rows yields the unique maximal
-    block with fewest rows.  |R| + |S| always equals 2n - matching size.
+    minimum cover, so taking R = reachable rows and S = unreachable columns
+    yields the unique maximal block with fewest rows, the same for every
+    maximum matching.  |R| + |S| always equals 2n - matching size.
     """
     if a.rows != a.cols:
         raise MatrixShapeError(f"not square: {a.rows}x{a.cols}")
-    n = a.rows
-    above = a.array > t
-    match_of_row = _match_rows(above)
-    matched = (match_of_row >= 0).nonzero()[0]
-    match_of_col = np.full(n, -1)
-    match_of_col[match_of_row[matched]] = matched
-
-    # Alternating BFS, one level at a time: from the frontier rows along
-    # above-t edges to new columns, then back along their matching edges.
-    # Every reached column is matched, or the matching would not be maximum.
-    reached_rows = match_of_row < 0
-    reached_cols = np.zeros(n, dtype=bool)
-    frontier = reached_rows
-    while True:
-        new_cols = above[frontier].any(axis=0) & ~reached_cols
-        if not new_cols.any():
-            break
-        reached_cols |= new_cols
-        frontier = match_of_col[new_cols]
-        reached_rows[frontier] = True
-
+    _, rows, cols = _match_rows(a.array > t)
     return BlockDecomposition(
-        row_set=tuple(reached_rows.nonzero()[0].tolist()),
-        col_set=tuple((~reached_cols).nonzero()[0].tolist()),
+        row_set=tuple(sorted(rows)),
+        col_set=tuple(sorted(set(range(a.cols)).difference(cols))),
     )

@@ -36,6 +36,10 @@ __all__ = [
 
 DEFAULT_VISIT_BUDGET = 50_000_000
 
+# Row pools kept between calls: enough for a sweep over a few cells, and a
+# bound on the memory a long run of distinct (m, n) can hold.
+_POOL_CACHE_SIZE = 8
+
 
 @dataclass(frozen=True)
 class EnumStats:
@@ -48,7 +52,7 @@ class EnumStats:
     witness: DSMatrix
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_POOL_CACHE_SIZE)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """The compositions of total into parts, ascending: stars and bars,
     whose bar positions ascend with the composition."""
@@ -107,7 +111,12 @@ def count_D(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> int:
                 raise BudgetExceededError(budget, total)
         return total
 
-    return rec(n, (m,) * n)
+    try:
+        return rec(n, (m,) * n)
+    finally:
+        # rec's closure holds rec: break that cycle, so the memo and the
+        # pool are freed now and not at some later garbage collection.
+        del rec
 
 
 def _two_rows(m: int, col_rem: tuple[int, ...]) -> int:

@@ -28,19 +28,27 @@ def transversal_sums(a):
     return a.reshape(a.shape[:-2] + (n * n,))[..., _perm_cells(n)].sum(axis=-1)
 
 
-def low_block_sum(a, t):
-    """The largest |R| + |C| with every entry of R x C at most t.
+def low_blocks(a, t):
+    """The largest |R| + |C| with every entry of R x C at most t, and every
+    row set R that attains it.
 
     For a fixed row set R the best C is every column that no row of R
     exceeds t in, so one pass over the 2^rows row sets is exact.
     """
     high = np.asarray(a) > t
     rows, cols = high.shape
-    return max(
-        len(r) + cols - int(high[list(r)].any(axis=0).sum())
+    sums = {
+        r: len(r) + cols - int(high[list(r)].any(axis=0).sum())
         for k in range(rows + 1)
         for r in itertools.combinations(range(rows), k)
-    )
+    }
+    best = max(sums.values())
+    return best, [r for r, s in sums.items() if s == best]
+
+
+def low_block_sum(a, t):
+    """The largest |R| + |C| with every entry of R x C at most t."""
+    return low_blocks(a, t)[0]
 
 
 def compositions(total, parts):

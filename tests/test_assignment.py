@@ -213,8 +213,8 @@ CASE_EXAMPLES = [
     "m,n,objective,tag", CASE_EXAMPLES, ids=[row[3] for row in CASE_EXAMPLES]
 )
 def test_construct_leaves_scipy_unloaded(m, n, objective, tag):
-    # construct proves its value with a closed-form certificate, so it needs
-    # neither the assignment solver nor the matchers
+    # construct proves its value with a closed-form certificate, so it never
+    # calls the assignment solve, the one user of scipy
     bound = lower_bound_L if objective == "min-tdet" else upper_bound_U
     assert bound(m, n).case_tag.value == tag
     src = str(Path(sys.modules["tropdet"].__file__).resolve().parents[1])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import mat
-from reference import low_block_sum
+from reference import low_block_sum, low_blocks
 from tropdet import (
     MatrixShapeError,
     construct_min_tdet,
@@ -91,6 +91,17 @@ class TestKnownBlocks:
         assert block.row_set == (0, 1)
         assert block.col_set == (1, 2)
 
+    def test_failed_search_then_augmenting_row(self):
+        # greedy leaves rows 1 and 3 unmatched; row 1's search reaches only
+        # column 0 and fails, and row 3 still augments through row 2
+        a = mat([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0]])
+        size, pairs = max_matching_above(a, 0)
+        assert size == 3
+        assert pairs == ((0, 0), (2, 2), (3, 1))
+        block = largest_low_block(a, 0)
+        assert block.row_set == (0, 1)
+        assert block.col_set == (1, 2, 3)
+
     def test_non_square_rejected(self):
         with pytest.raises(MatrixShapeError):
             largest_low_block(mat([[1, 2, 3], [4, 5, 6]]), 0)
@@ -111,6 +122,24 @@ class TestAgainstBrute:
             for i in block.row_set:
                 for j in block.col_set:
                     assert a.array[i, j] <= t
+
+    def test_fewest_row_block_against_every_row_set(self):
+        # the matching size is 2n - the largest block sum, and the block's
+        # rows are the one maximiser with fewest rows over all 2^n row sets
+        rng = np.random.default_rng(34)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            raw = rng.integers(0, 4, size=(n, n))
+            a = mat(raw * (rng.random(size=(n, n)) < rng.random()))
+            t = int(rng.integers(0, 3))
+            best, maximisers = low_blocks(a.array, t)
+            assert max_matching_above(a, t)[0] == 2 * n - best
+            fewest = min(map(len, maximisers))
+            [rows] = [r for r in maximisers if len(r) == fewest]
+            block = largest_low_block(a, t)
+            assert block.row_set == rows
+            high = (a.array[list(rows)] > t).any(axis=0)
+            assert block.col_set == tuple((~high).nonzero()[0].tolist())
 
     def test_hall_criterion(self):
         rng = np.random.default_rng(32)
@@ -178,6 +207,21 @@ class TestDoublyStochastic:
         assert found and len(pairs) == 1000
         assert all(a.array[i, j] > 0 for i, j in pairs)
 
+    def test_large_deficient_member(self):
+        # at t = q = 5 the above-t graph matches only 2000 of 3000 rows, so
+        # a thousand searches fail and the König block is large
+        member = construct_min_tdet(16000, 3000).matrix
+        a, n, t = member.array, 3000, 5
+        size, pairs = max_matching_above(member, t)
+        assert size == 2000 and len(pairs) == size
+        rows, cols = map(list, zip(*pairs))
+        assert len(set(rows)) == len(set(cols)) == size
+        assert (a[rows, cols] > t).all()
+        block = largest_low_block(member, t)
+        assert block.dimension_sum == 2 * n - size
+        assert not (a[np.ix_(block.row_set, block.col_set)] > t).any()
+        assert not has_transversal_above(member, t)[0]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -185,12 +229,13 @@ class TestDoublyStochastic:
         [],
         ["bounds", "--m", "7", "--n", "5"],
         ["enumerate", "--m", "3", "--n", "4", "--stat", "count"],
+        ["zero-block", "m.txt"],
     ],
 )
-def test_scipy_sparse_left_unloaded(argv):
-    # scipy.sparse is most of the package's import time; only the matchers
-    # need it, so neither the import nor commands without a matching should
-    # pay for it
+def test_scipy_sparse_left_unloaded(argv, tmp_path):
+    # scipy.sparse is most of scipy's import time and nothing in the
+    # package uses it, so neither the import nor any command should load it
+    (tmp_path / "m.txt").write_text("2 1 0\n0 2 1\n1 0 2\n")
     src = str(Path(sys.modules["tropdet"].__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
@@ -201,6 +246,7 @@ def test_scipy_sparse_left_unloaded(argv):
     )
     out = subprocess.run(
         [sys.executable, "-c", code, *argv],
+        cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -24,7 +25,14 @@ from tropdet import (
     validate_ds,
 )
 from tropdet.cli import main
-from tropdet.enumerate_ds import _extend, _prefix_bound, _subsets, _two_rows
+from tropdet.enumerate_ds import (
+    _POOL_CACHE_SIZE,
+    _compositions,
+    _extend,
+    _prefix_bound,
+    _subsets,
+    _two_rows,
+)
 
 
 def collect(m, n):
@@ -104,6 +112,18 @@ class TestCounting:
         for m in range(1, 201):
             expected = math.comb(m + 2, 2) + 3 * math.comb(m + 3, 4)
             assert count_D(m, 3, budget=10**10) == expected
+        # a bounded number of row pools stays cached, not one per m
+        assert _compositions.cache_info().currsize <= _POOL_CACHE_SIZE < 200
+
+    def test_count_leaves_no_reference_cycle(self):
+        # the memo and the row pool go when count_D returns, not at a gc
+        gc.collect()
+        gc.disable()
+        try:
+            assert count_D(30, 3) == math.comb(32, 2) + 3 * math.comb(33, 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_default_budget_refuses_two_hundred_by_three(self):
         # |D(200, 3)| = 206,075,451; the partial count passes 5 * 10^7 first
