@@ -1,12 +1,11 @@
 """Command line interface.
 
-Subcommands: bounds, construct, tdet, tropdet, verify, enumerate, rubik,
-zero-block, random.  Each command computes one result, which ``main``
-prints to stdout either as plain text (the default) or, with --format
-structured, as one JSON document; diagnostics go to stderr.  Exit codes:
-0 success, 1 domain or input failure (also a MemoryError, RecursionError
-or OverflowError, reported on one line, or a reader that closed stdout
-early), 2 usage error.
+Each command, declared once in ``_COMMANDS``, computes one result, which
+``main`` prints to stdout either as plain text (the default) or, with
+--format structured, as one JSON document; diagnostics go to stderr.  Exit
+codes: 0 success, 1 domain or input failure (also a MemoryError,
+RecursionError or OverflowError, reported on one line, or a reader that
+closed stdout early), 2 usage error.
 
 Human-readable output prints permutations and index sets 1-indexed;
 structured output is 0-indexed.  The enumeration visit budget can be
@@ -16,6 +15,7 @@ overridden with the TROPDET_MAX_VISITS environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,23 +52,15 @@ from .matrices import (
 BUDGET_ENV_VAR = "TROPDET_MAX_VISITS"
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
+    """text as an integer no smaller than low; the one check on every integer
+    the CLI reads, from argv and from the environment."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
 
 
@@ -88,12 +80,9 @@ def _budget() -> int:
     if raw is None:
         return DEFAULT_VISIT_BUDGET
     try:
-        value = int(raw)
-    except ValueError:
-        raise TropdetError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise TropdetError(f"{BUDGET_ENV_VAR} must be >= 1, got {value}")
-    return value
+        return _int_at_least(1, raw)
+    except argparse.ArgumentTypeError as exc:
+        raise TropdetError(f"{BUDGET_ENV_VAR} {exc}")
 
 
 def _bound_doc(res: BoundsResult) -> dict:
@@ -166,10 +155,10 @@ def _cmd_construct(args) -> _Result:
 
 def _cmd_eval(args) -> _Result:
     a = _read_matrix(args.file)
-    t = tdet(a) if args.which == "tdet" else tropdet(a)
-    doc = {"which": args.which, "n": a.rows, "value": t.value, "permutation": t.perm}
+    t = tdet(a) if args.command == "tdet" else tropdet(a)
+    doc = {"which": args.command, "n": a.rows, "value": t.value, "permutation": t.perm}
     lines = [
-        f"{args.which} = {t.value}",
+        f"{args.command} = {t.value}",
         "permutation (1-indexed): " + " ".join(str(j + 1) for j in t.perm),
     ]
     return 0, doc, lines
@@ -224,11 +213,11 @@ def _cmd_enumerate(args) -> _Result:
         total = count_D(args.m, args.n, budget)
         doc = {"m": args.m, "n": args.n, "stat": "count", "count": total}
         return 0, doc, [f"|D({args.m},{args.n})| = {total}"]
-    stats = (
-        brute_L(args.m, args.n, budget)
-        if args.stat == "min-tdet"
-        else brute_U(args.m, args.n, budget)
-    )
+    if args.stat == "min-tdet":
+        label, search = "min tdet", brute_L
+    else:
+        label, search = "max tropdet", brute_U
+    stats = search(args.m, args.n, budget)
     doc = {
         "m": args.m,
         "n": args.n,
@@ -237,7 +226,6 @@ def _cmd_enumerate(args) -> _Result:
         "count": stats.count,
         "witness": stats.witness,
     }
-    label = "min tdet" if args.stat == "min-tdet" else "max tropdet"
     lines = [
         f"{label} over D({args.m},{args.n}) = {stats.extremum}",
         f"matrices visited: {stats.count}",
@@ -320,6 +308,69 @@ def _print_result(result: _Result, fmt: str) -> int:
     return code
 
 
+# The CLI's one declaration: each command's help, handler and arguments.  An
+# argument is its flag (a positional file path when it has no "--"), then an
+# integer lower bound, a tuple of choices or None, then its default or
+# "required", then an optional help string.
+_M, _N = ("--m", 1, "required"), ("--n", 1, "required")
+_FILE = ("file", None, "required")
+_COMMANDS = {
+    "bounds": ("evaluate L(m,n) and U(m,n)", _cmd_bounds, [_M, _N]),
+    "construct": (
+        "build an extremal member of D(m,n)",
+        _cmd_construct,
+        [_M, _N, ("--objective", ("min-tdet", "max-tropdet"), "required")],
+    ),
+    "tdet": ("evaluate tdet of a matrix file ('-' for stdin)", _cmd_eval, [_FILE]),
+    "tropdet": (
+        "evaluate tropdet of a matrix file ('-' for stdin)",
+        _cmd_eval,
+        [_FILE],
+    ),
+    "verify": (
+        "check membership in D(m,n)",
+        _cmd_verify,
+        [
+            _FILE,
+            (
+                "--expect-m",
+                1,
+                None,
+                "also require the detected line sum to equal this value",
+            ),
+        ],
+    ),
+    "enumerate": (
+        "sweep all of D(m,n)",
+        _cmd_enumerate,
+        [_M, _N, ("--stat", ("count", "min-tdet", "max-tropdet"), "required")],
+    ),
+    "rubik": (
+        "worst-case sticker replacement count for a color puzzle",
+        _cmd_rubik,
+        [("--colors", 1, "required"), ("--stickers-per-face", 1, "required")],
+    ),
+    "zero-block": (
+        "largest low block and Hall condition of a matrix file",
+        _cmd_zero_block,
+        [_FILE, ("--threshold", 0, 0)],
+    ),
+    "random": (
+        "sample a random member of D(m,n)",
+        _cmd_random,
+        [_M, _N, ("--seed", 0, None)],
+    ),
+}
+
+# Every command takes this one last.
+_FORMAT = (
+    "--format",
+    ("plain", "structured"),
+    "plain",
+    "plain text (default) or a single JSON document",
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropdet",
@@ -329,78 +380,25 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("bounds", help="evaluate L(m,n) and U(m,n)")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = subs.add_parser("construct", help="build an extremal member of D(m,n)")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument(
-        "--objective", choices=("min-tdet", "max-tropdet"), required=True
-    )
-    p.set_defaults(func=_cmd_construct)
-
-    for which in ("tdet", "tropdet"):
-        p = subs.add_parser(
-            which, help=f"evaluate {which} of a matrix file ('-' for stdin)"
-        )
-        p.add_argument("file")
-        p.set_defaults(func=_cmd_eval, which=which)
-
-    p = subs.add_parser("verify", help="check membership in D(m,n)")
-    p.add_argument("file")
-    p.add_argument(
-        "--expect-m",
-        type=_positive_int,
-        default=None,
-        help="also require the detected line sum to equal this value",
-    )
-    p.set_defaults(func=_cmd_verify)
-
-    p = subs.add_parser("enumerate", help="sweep all of D(m,n)")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument(
-        "--stat", choices=("count", "min-tdet", "max-tropdet"), required=True
-    )
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = subs.add_parser(
-        "rubik", help="worst-case sticker replacement count for a color puzzle"
-    )
-    p.add_argument("--colors", type=_positive_int, required=True)
-    p.add_argument("--stickers-per-face", type=_positive_int, required=True)
-    p.set_defaults(func=_cmd_rubik)
-
-    p = subs.add_parser(
-        "zero-block", help="largest low block and Hall condition of a matrix file"
-    )
-    p.add_argument("file")
-    p.add_argument("--threshold", type=_nonneg_int, default=0)
-    p.set_defaults(func=_cmd_zero_block)
-
-    p = subs.add_parser("random", help="sample a random member of D(m,n)")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_nonneg_int, default=None)
-    p.set_defaults(func=_cmd_random)
-
-    for p in subs.choices.values():
-        p.add_argument(
-            "--format",
-            choices=("plain", "structured"),
-            default="plain",
-            help="plain text (default) or a single JSON document",
-        )
+    for name, (text, handler, arguments) in _COMMANDS.items():
+        p = subs.add_parser(name, help=text)
+        p.set_defaults(func=handler)
+        for flag, kind, default, *doc in arguments + [_FORMAT]:
+            opts = {"help": doc[0] if doc else None}
+            if isinstance(kind, int):
+                opts["type"] = functools.partial(_int_at_least, kind)
+            elif kind:
+                opts["choices"] = kind
+            if default != "required":
+                opts["default"] = default
+            elif flag.startswith("--"):
+                opts["required"] = True
+            p.add_argument(flag, **opts)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _print_result(args.func(args), args.format)
     except TropdetError as exc:

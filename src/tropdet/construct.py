@@ -19,7 +19,7 @@ import numpy as np
 from .assignment import Certificate
 from .bounds import CaseTag, lower_bound_L, smallest_l, upper_bound_U
 from .errors import DomainError
-from .matrices import DSMatrix, IntMatrix, check_entry_limit, split, validate_ds
+from .matrices import DSMatrix, IntMatrix, _full, split, validate_ds
 
 __all__ = [
     "BlockPlan",
@@ -126,8 +126,7 @@ def construct_min_tdet(m: int, n: int) -> DSMatrix:
     res = lower_bound_L(m, n)
     q, r = res.params.q, res.params.r
     tag = res.case_tag
-    check_entry_limit(q + (r > 0), n)  # q + 1 is the top entry once r > 0
-    body = np.full((n, n), q, dtype=np.int64)
+    body = _full(n, q, q + (r > 0))  # q + 1 is the top entry once r > 0
 
     if tag is CaseTag.Q_ZERO:
         body += _band(n, n, -1, 1, n, m)
@@ -160,8 +159,7 @@ def construct_max_tropdet(m: int, n: int) -> DSMatrix:
     # of +1 when r < side, else a whole-block lift of r // side plus a band
     # for the remainder.
     lift, band = divmod(r, side)
-    check_entry_limit(q + lift + (band > 0), n)
-    body = np.full((n, n), q, dtype=np.int64)
+    body = _full(n, q, q + lift + (band > 0))
     if r:
         body[:side, :side] += lift + _band(side, side, -1, 1, side, band)
         body[side:, side:] += 1

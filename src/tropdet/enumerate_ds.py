@@ -23,7 +23,7 @@ import numpy as np
 
 from .assignment import tdet, tropdet
 from .errors import BudgetExceededError, DomainError, TropdetError
-from .matrices import DSMatrix, IntMatrix, split, validate_ds
+from .matrices import DSMatrix, IntMatrix, _full, split, validate_ds
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
@@ -65,13 +65,19 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 
 def _row_pool(m: int, n: int, budget: int) -> tuple[tuple[int, ...], ...]:
     """The candidate rows: the compositions of m into n parts, once m and n
-    are in the domain and the rows are no more than the budget."""
+    are in the domain and no lower bound on |D(m, n)| passes the budget."""
     split(m, n)  # domain check
-    # Each first row extends to at least one member, so the row pool size
-    # is a lower bound on the total count: refuse before materializing.
-    size = math.comb(m + n - 1, n - 1)
-    if size > budget:
-        raise BudgetExceededError(budget, size)
+    # Refuse on the first of two lower bounds on |D(m, n)| to pass the budget,
+    # each grown a factor at a time so neither is built past it: C(a + i, i)
+    # first rows (a = max(m, n - 1), i <= min(m, n - 1); each extends to a
+    # member) and i! members P + (m - 1) I, P a permutation matrix (i <= n).
+    a, k = max(m, n - 1), min(m, n - 1)
+    rows = perms = 1
+    for i in range(1, n + 1):
+        rows = rows * (a + i) // i if i <= k else rows
+        perms *= i
+        if max(rows, perms) > budget:
+            raise BudgetExceededError(budget, max(rows, perms))
     return _compositions(m, n)
 
 
@@ -246,8 +252,8 @@ def random_ds(m: int, n: int, seed: int | None = None) -> DSMatrix:
     split(m, n)
     if m * n > DEFAULT_VISIT_BUDGET:
         raise DomainError(f"random needs m * n <= {DEFAULT_VISIT_BUDGET}, got {m * n}")
+    acc = _full(n, 0, m)
     rng = np.random.default_rng(seed)
-    acc = np.zeros((n, n), dtype=np.int64)
     rows = np.arange(n)
     for _ in range(m):
         acc[rows, rng.permutation(n)] += 1

@@ -48,6 +48,20 @@ def check_entry_limit(max_entry: int, side: int) -> None:
         )
 
 
+# The most cells of an n x n array built from (m, n) alone.  Building one
+# peaks near 17 bytes a cell, so about 0.4 GB at this limit.
+_MAX_CELLS = 25_000_000
+
+
+def _full(n: int, fill: int, top: int) -> np.ndarray:
+    """An n x n int64 array of fill for entries up to top, refused before it
+    is allocated past check_entry_limit or past _MAX_CELLS cells."""
+    check_entry_limit(top, n)
+    if n * n > _MAX_CELLS:
+        raise DomainError(f"an n x n matrix needs n * n <= {_MAX_CELLS}, got n = {n}")
+    return np.full((n, n), fill, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class IntMatrix:
     """Immutable matrix of non-negative integers held as one read-only int64
@@ -310,7 +324,12 @@ def parse_matrix(text: str) -> IntMatrix:
                     f"line {lineno}: bad token {tok!r} "
                     "(decimal non-negative integers only)"
                 )
-            row.append(int(tok))
+            try:
+                row.append(int(tok))
+            except ValueError:  # past the interpreter's int string limit
+                raise MatrixParseError(
+                    f"line {lineno}: a {len(tok)}-digit token is too long"
+                )
         rows.append(row)
     width = len(rows[0])
     for i, row in enumerate(rows):

@@ -6,11 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import CIRCULANT_4_6_TEXT
 import tropdet
-from tropdet import construct_min_tdet, lower_bound_L, serialize, upper_bound_U
+from tropdet import (
+    construct_max_tropdet,
+    construct_min_tdet,
+    lower_bound_L,
+    serialize,
+    upper_bound_U,
+)
 from tropdet.cli import main
 
 
@@ -278,6 +285,30 @@ class TestEnumerate:
         assert code == 1
         assert "TROPDET_MAX_VISITS" in err
 
+    @pytest.mark.parametrize("raw", ["0", "-3", "1.5", ""])
+    def test_budget_env_out_of_range(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("TROPDET_MAX_VISITS", raw)
+        code, out, err = run(
+            capsys, "enumerate", "--m", "2", "--n", "2", "--stat", "count"
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "TROPDET_MAX_VISITS" in err
+
+
+    @pytest.mark.parametrize(
+        "m,n",
+        [(10000, 10000), (10**6, 10**6), (1, 1000), (10**18, 10**18)],
+    )
+    @pytest.mark.parametrize("stat", ["count", "min-tdet"])
+    def test_huge_sizes_refuse_on_one_line(self, capsys, m, n, stat):
+        code, out, err = run(
+            capsys, "enumerate", "--m", str(m), "--n", str(n), "--stat", stat
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: enumeration budget exceeded: at least ")
+
 
 class TestRubik:
     def test_classic(self, capsys):
@@ -372,6 +403,48 @@ class TestRandom:
         assert "m * n <= 50000000" in err
 
 
+class TestCellLimit:
+    """n x n results past 25 * 10^6 cells are refused before any array of
+    that size exists."""
+
+    @pytest.mark.parametrize(
+        "argv,limit",
+        [
+            (
+                "construct --m 1 --n 1000000000000000000 --objective min-tdet",
+                "25000000",
+            ),
+            ("construct --m 1 --n 5001 --objective max-tropdet", "25000000"),
+            ("construct --m 5002 --n 5001 --objective min-tdet", "25000000"),
+            ("rubik --colors 1000000000000000000 --stickers-per-face 1", "25000000"),
+            ("rubik --colors 5001 --stickers-per-face 7", "25000000"),
+            ("random --m 1 --n 1000000000000000000", "m * n <= 50000000"),
+            ("random --m 1 --n 5001", "25000000"),
+        ],
+    )
+    def test_refused_before_allocating(self, capsys, monkeypatch, argv, limit):
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated past the cell limit")
+
+        monkeypatch.setattr(np, "full", allocate)
+        monkeypatch.setattr(np, "zeros", allocate)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert limit in err
+
+    def test_the_limit_itself_is_allowed(self, monkeypatch):
+        class Allocating(Exception):
+            pass
+
+        def allocate(shape, *args, **kwargs):
+            raise Allocating(shape)
+
+        monkeypatch.setattr(np, "full", allocate)
+        with pytest.raises(Allocating, match=r"\(5000, 5000\)"):
+            construct_max_tropdet(1, 5000)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "exc,line",
@@ -394,7 +467,8 @@ class TestExitCodes:
         def fail(args):
             raise exc
 
-        monkeypatch.setattr("tropdet.cli._cmd_bounds", fail)
+        text, _, arguments = tropdet.cli._COMMANDS["bounds"]
+        monkeypatch.setitem(tropdet.cli._COMMANDS, "bounds", (text, fail, arguments))
         code, out, err = run(capsys, "bounds", "--m", "7", "--n", "6")
         assert (code, out, err) == (1, "", line)
 
@@ -1069,6 +1143,52 @@ GOLDEN = [
         "tropdet bounds: error: argument --m: must be at least 1, got 0\n",
     ),
 ]
+
+
+# Each command's usage at 80 columns, as argparse prints it above a usage
+# error.
+USAGE = {
+    "bounds": "usage: tropdet bounds [-h] --m M --n N [--format {plain,structured}]\n",
+    "construct": (
+        "usage: tropdet construct [-h] --m M --n N --objective {min-tdet,max-tropdet}\n"
+        "                         [--format {plain,structured}]\n"
+    ),
+    "tdet": "usage: tropdet tdet [-h] [--format {plain,structured}] file\n",
+    "tropdet": "usage: tropdet tropdet [-h] [--format {plain,structured}] file\n",
+    "verify": (
+        "usage: tropdet verify [-h] [--expect-m EXPECT_M] [--format {plain,structured}]\n"
+        "                      file\n"
+    ),
+    "enumerate": (
+        "usage: tropdet enumerate [-h] --m M --n N --stat {count,min-tdet,max-tropdet}\n"
+        "                         [--format {plain,structured}]\n"
+    ),
+    "rubik": (
+        "usage: tropdet rubik [-h] --colors COLORS --stickers-per-face\n"
+        "                     STICKERS_PER_FACE [--format {plain,structured}]\n"
+    ),
+    "zero-block": (
+        "usage: tropdet zero-block [-h] [--threshold THRESHOLD]\n"
+        "                          [--format {plain,structured}]\n"
+        "                          file\n"
+    ),
+    "random": (
+        "usage: tropdet random [-h] --m M --n N [--seed SEED]\n"
+        "                      [--format {plain,structured}]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_usage_line(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    usage, error = err.split(f"tropdet {command}: error: ")
+    assert usage == USAGE[command]
+    assert error.startswith("the following arguments are required: ")
 
 
 @pytest.mark.parametrize(

@@ -184,12 +184,28 @@ def test_pinned_counts(m, n):
 
 class TestBudget:
     def test_upfront_refusal(self):
-        # the first-row pool alone exceeds the budget, so no work starts
+        # a count of first rows exceeds the budget, so no work starts
         with pytest.raises(BudgetExceededError) as err:
             count_D(10, 5, budget=100)
-        assert err.value.members == 1001  # the C(14, 4) first rows
+        assert err.value.members == 286  # C(13, 3), of the C(14, 4) first rows
         assert err.value.budget == 100
         assert err.value.members > err.value.budget
+
+    # Refused on the first running product past the budget: C(a + i, i)
+    # first rows with a = max(m, n - 1), or i! permutation matrices.
+    @pytest.mark.parametrize(
+        "m,n,members",
+        [
+            (1, 1000, 479001600),  # 12!
+            (10000, 10000, 50015001),  # C(10002, 2)
+            (10**18, 10**18, 10**18 + 1),  # C(10^18 + 1, 1)
+            (3000, 3000, 4509005501),  # C(3003, 3), of a 1800-digit pool
+        ],
+    )
+    def test_refusal_builds_no_giant_count(self, m, n, members):
+        with pytest.raises(BudgetExceededError) as err:
+            count_D(m, n)
+        assert err.value.members == members
 
     def test_midstream_stop(self):
         # pool of 6 first rows passes the pre-check, then a partial count does

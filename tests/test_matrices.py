@@ -76,6 +76,8 @@ PARSE_TABLE = [
     ("twenty_one_digits", "123456789012345678901", False,
      ("MatrixParseError",
       "entries must be integers in [0, 2**63 - 1], got object values")),
+    ("past_int_string_limit", "9" * 5000, False,
+     ("MatrixParseError", "line 1: a 5000-digit token is too long")),
     ("empty", "", False, ("MatrixParseError", "empty input")),
     ("spaces_only", "   ", False, ("MatrixParseError", "empty input")),
     ("newlines_only", "\n\n", False, ("MatrixParseError", "empty input")),
