@@ -51,10 +51,17 @@ from .matrices import (
 
 BUDGET_ENV_VAR = "TROPDET_MAX_VISITS"
 
+# The product of two accepted integers has at most twice as many digits, so
+# it still prints under the interpreter's 4300-digit int-string limit.
+_MAX_DIGITS = 1000
+
 
 def _int_at_least(low: int, text: str) -> int:
-    """text as an integer no smaller than low; the one check on every integer
-    the CLI reads, from argv and from the environment."""
+    """text as an integer of at most _MAX_DIGITS digits, no smaller than low;
+    the one check on every integer the CLI reads, from argv and from the
+    environment."""
+    if sum(c.isdigit() for c in text) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must have at most {_MAX_DIGITS} digits")
     try:
         value = int(text)
     except ValueError:
@@ -371,6 +378,7 @@ _FORMAT = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropdet",
@@ -380,9 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (text, handler, arguments) in _COMMANDS.items():
+    for name, (text, _, arguments) in _COMMANDS.items():
         p = subs.add_parser(name, help=text)
-        p.set_defaults(func=handler)
         for flag, kind, default, *doc in arguments + [_FORMAT]:
             opts = {"help": doc[0] if doc else None}
             if isinstance(kind, int):
@@ -400,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _print_result(args.func(args), args.format)
+        # The table, read at each call, names the handler; the parser is shared.
+        return _print_result(_COMMANDS[args.command][1](args), args.format)
     except TropdetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ import numpy as np
 
 from .assignment import tdet, tropdet
 from .errors import BudgetExceededError, DomainError, TropdetError
-from .matrices import DSMatrix, IntMatrix, _full, split, validate_ds
+from .matrices import _MAX_CELLS, DSMatrix, IntMatrix, _full, split, validate_ds
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
@@ -78,6 +78,12 @@ def _row_pool(m: int, n: int, budget: int) -> tuple[tuple[int, ...], ...]:
         perms *= i
         if max(rows, perms) > budget:
             raise BudgetExceededError(budget, max(rows, perms))
+    # Now rows = C(m + n - 1, n - 1), the pool's size; it is stored as tuples.
+    if rows * n > _MAX_CELLS:
+        raise DomainError(
+            f"the row pool of D({m},{n}) needs rows * n <= {_MAX_CELLS}, "
+            f"got {rows * n}"
+        )
     return _compositions(m, n)
 
 

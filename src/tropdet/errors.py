@@ -7,6 +7,16 @@ can catch one base class.  Subclasses also derive from the matching builtin
 
 from __future__ import annotations
 
+__all__ = [
+    "TropdetError",
+    "MatrixParseError",
+    "MatrixShapeError",
+    "LineSumError",
+    "DomainError",
+    "CertificateError",
+    "BudgetExceededError",
+]
+
 
 class TropdetError(Exception):
     """Base class for every error raised by this package."""

@@ -26,10 +26,8 @@ __all__ = [
     "IntMatrix",
     "DSMatrix",
     "SplitParams",
-    "check_entry_limit",
     "parse_matrix",
     "serialize",
-    "structured_doc",
     "validate_ds",
     "split",
 ]
@@ -48,8 +46,9 @@ def check_entry_limit(max_entry: int, side: int) -> None:
         )
 
 
-# The most cells of an n x n array built from (m, n) alone.  Building one
-# peaks near 17 bytes a cell, so about 0.4 GB at this limit.
+# The most cells of a structure built from (m, n) alone: an n x n array peaks
+# near 17 bytes a cell, so about 0.4 GB at this limit; count_D's row pool of
+# int tuples takes 12-52 bytes a cell (most at n = 3), so up to about 1.3 GB.
 _MAX_CELLS = 25_000_000
 
 

@@ -296,6 +296,18 @@ class TestEnumerate:
         assert "TROPDET_MAX_VISITS" in err
 
 
+    def test_pool_past_cell_limit_refuses_unbuilt(self, capsys, monkeypatch):
+        # Within the budget's checks, but about 6 GB of row tuples if built.
+        monkeypatch.setattr("tropdet.enumerate_ds._compositions", _forbidden)
+        code, out, err = run(
+            capsys, "enumerate", "--m", "21", "--n", "11", "--stat", "count"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the row pool of D(21,11) needs rows * n <= 25000000, "
+            "got 487873815\n"
+        )
+
     @pytest.mark.parametrize(
         "m,n",
         [(10000, 10000), (10**6, 10**6), (1, 1000), (10**18, 10**18)],
@@ -308,6 +320,54 @@ class TestEnumerate:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert err.startswith("error: enumeration budget exceeded: at least ")
+
+
+class TestDigitBound:
+    # A value derived from these 4300 digits passes the interpreter's
+    # int-string limit when printed: m + 1 in the budget message, L, m * n.
+    NINES = "9" * 4300
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--m", NINES, "--n", "3", "--stat", "count"],
+            ["bounds", "--m", NINES, "--n", "7"],
+            ["random", "--m", NINES, "--n", "2", "--seed", "1"],
+            # Past the int-string limit, where int() itself fails.
+            ["bounds", "--m", "9" * 5000, "--n", "7"],
+        ],
+        ids=["enumerate", "bounds", "random", "past_int_limit"],
+    )
+    def test_past_the_bound_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.endswith(": error: argument --m: must have at most 1000 digits\n")
+
+    def test_budget_past_the_bound_refuses_on_one_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("TROPDET_MAX_VISITS", "1" + "0" * 4295)
+        code, out, err = run(
+            capsys, "enumerate", "--m", "2", "--n", "3", "--stat", "count"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: TROPDET_MAX_VISITS must have at most 1000 digits\n"
+
+    def test_largest_accepted_values_print(self, capsys, monkeypatch):
+        big = str(10**1000 - 1)
+        monkeypatch.setenv("TROPDET_MAX_VISITS", big)
+        code, out, err = run(
+            capsys, "enumerate", "--m", big, "--n", "3", "--stat", "count"
+        )
+        assert (code, out) == (1, "")
+        members = 10**1000  # m + 1 first rows
+        assert err == (
+            f"error: enumeration budget exceeded: at least {members} members "
+            f"(budget {big})\n"
+        )
+        code, out, err = run(capsys, "bounds", "--m", big, "--n", "7")
+        assert (code, err) == (0, "")
+        assert f"L({big},7) = " in out
 
 
 class TestRubik:

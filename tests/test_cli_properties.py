@@ -18,8 +18,10 @@ as the benchmark calls it.  The invariants:
 Values stay cheap: in-range draws keep --n at 64 or less, and `enumerate`
 at m, n <= 6 with the budget at its default or small, so that no example
 lands where the row pool is built close to the budget.  The edge values
-(10^4, the 2^53 and 2^63 neighbours, 10^18) stay cheap as well: as an n
-they meet the refusals that the size limits make cheap.
+(10^4, the 2^53 and 2^63 neighbours, 10^18, the integers on either side of
+the CLI's digit bound and one of 4300 digits, the longest the interpreter
+prints) stay cheap as well: as an n they meet the refusals that the size
+limits make cheap.
 """
 
 import argparse
@@ -39,12 +41,16 @@ from hypothesis import strategies as st
 import tropdet.cli as cli
 from reference import low_blocks, transversal_sums
 
+DIGITS = cli._MAX_DIGITS
 EDGES = [10**4, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1, 10**18, -1, -(2**63)]
+# Around the digit bound, and the longest integer the interpreter prints.
+EDGES += [10 ** (DIGITS - 1), 10**DIGITS - 1, 10**DIGITS, 10**4300 - 1]
 NOT_INTEGERS = ["1.5", "two", "", "1e3", "0x10", "--m"]
 # The largest in-range value drawn per flag; enumerate has its own.
 CHEAP = {"--m": 64, "--n": 64, "--colors": 64, "--stickers-per-face": 64}
 CHEAP_ENUMERATE = {"--m": 6, "--n": 6}
 BUDGETS = [None, None, None, "5", "1000", "0", "-3", "1.5", "", "soon"]
+BUDGETS += [str(10**DIGITS), "9" * 4300]
 FILE_KINDS = [
     "member",
     "off_by_one",
@@ -253,3 +259,10 @@ def test_table_is_the_parser():
             if not isinstance(a, argparse._HelpAction)
         ]
         assert built == declared
+
+
+def test_parser_is_built_once(capsys):
+    cli._build_parser.cache_clear()
+    assert cli.main(["bounds", "--m", "7", "--n", "6"]) == 0
+    assert cli.main(["bounds", "--m", "7", "--n", "5"]) == 0
+    assert cli._build_parser.cache_info().misses == 1

@@ -35,6 +35,10 @@ from tropdet.enumerate_ds import (
 )
 
 
+def _unbuilt(*args):
+    raise AssertionError("the row pool was built")
+
+
 def collect(m, n):
     return [IntMatrix(n, n, flat) for flat in members(m, n)]
 
@@ -206,6 +210,20 @@ class TestBudget:
         with pytest.raises(BudgetExceededError) as err:
             count_D(m, n)
         assert err.value.members == members
+
+    # Past the budget's checks, a pool of C(m + n - 1, n - 1) rows of n cells
+    # is refused before it is built when it passes the package's cell limit.
+    @pytest.mark.parametrize("m,n,cells", [(87, 6, 295062768), (21, 11, 487873815)])
+    def test_pool_past_cell_limit_refused_unbuilt(self, monkeypatch, m, n, cells):
+        monkeypatch.setattr("tropdet.enumerate_ds._compositions", _unbuilt)
+        with pytest.raises(DomainError, match=f"rows \\* n <= 25000000, got {cells}$"):
+            count_D(m, n)
+
+    def test_pool_within_cell_limit_is_built(self, monkeypatch):
+        # C(202, 2) rows of 3 cells: 60903
+        monkeypatch.setattr("tropdet.enumerate_ds._compositions", _unbuilt)
+        with pytest.raises(AssertionError, match="built"):
+            count_D(200, 3, budget=10**10)
 
     def test_midstream_stop(self):
         # pool of 6 first rows passes the pre-check, then a partial count does

@@ -68,13 +68,25 @@ PUBLIC = [
     "validate_ds",
 ]
 
-MODULES = ["assignment", "blocks", "bounds", "construct", "enumerate_ds", "matrices"]
+MODULES = [
+    "assignment", "blocks", "bounds", "construct", "enumerate_ds", "errors", "matrices"
+]
 
 
 def test_public_names():
     assert sorted(tropdet.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(tropdet, name), name
+
+
+def test_package_names_are_the_modules_names():
+    # Each module declares its names once; the package lists them in module
+    # order, and no name comes from two modules.
+    declared = []
+    for name in MODULES:
+        declared += importlib.import_module(f"tropdet.{name}").__all__
+    assert list(tropdet.__all__) == declared
+    assert len(set(declared)) == len(declared)
 
 
 def test_references_import_no_tropdet():
