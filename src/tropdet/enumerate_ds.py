@@ -4,12 +4,13 @@ Matrices are built row by row, in ascending row-major order, from the
 compositions of m into n parts.  A prefix survives only while every column
 remainder stays between 0 and m * rows_left, so it completes (the last row
 is forced).  `count_D` counts the members, memoised on the sorted column
-remainders, with the last two rows in closed form.  `brute_L` and `brute_U`
-branch and bound over the members with sorted rows (permuting rows changes
-neither tdet nor tropdet), trying only rows that do not fall between two
-adjacent columns equal on every placed row: orderly generation up to
-column permutations too.  A budget, counted in members, caps the work:
-each refuses once a count passes it.
+remainders, with the last two rows in closed form; at n <= 5, past a few
+m, it evaluates the Ehrhart polynomial of the Birkhoff polytope instead.
+`brute_L` and `brute_U` branch and bound over the members with sorted rows
+(permuting rows changes neither tdet nor tropdet), trying only rows that
+do not fall between two adjacent columns equal on every placed row:
+orderly generation up to column permutations too.  A budget, counted in
+members, caps the work: each refuses once a count passes it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import tdet, tropdet
-from .errors import BudgetExceededError, DomainError, TropdetError
+from .errors import BudgetExceededError, DomainError, TropdetError, _shown
 from .matrices import _MAX_CELLS, DSMatrix, IntMatrix, _full, split, validate_ds
 
 __all__ = [
@@ -63,9 +64,9 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _row_pool(m: int, n: int, budget: int) -> tuple[tuple[int, ...], ...]:
-    """The candidate rows: the compositions of m into n parts, once m and n
-    are in the domain and no lower bound on |D(m, n)| passes the budget."""
+def _check_budget(m: int, n: int, budget: int) -> None:
+    """Refuse (m, n) outside the domain, or once a lower bound on |D(m, n)|,
+    C(m + n - 1, n - 1) rows among them, passes the budget."""
     split(m, n)  # domain check
     # Refuse on the first of two lower bounds on |D(m, n)| to pass the budget,
     # each grown a factor at a time so neither is built past it: C(a + i, i)
@@ -78,11 +79,16 @@ def _row_pool(m: int, n: int, budget: int) -> tuple[tuple[int, ...], ...]:
         perms *= i
         if max(rows, perms) > budget:
             raise BudgetExceededError(budget, max(rows, perms))
-    # Now rows = C(m + n - 1, n - 1), the pool's size; it is stored as tuples.
+
+
+def _row_pool(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The compositions of m into n parts, after _check_budget has passed:
+    refused if the pool, stored as tuples, passes the cell limit."""
+    rows = math.comb(m + n - 1, n - 1)  # at most the budget, by that check
     if rows * n > _MAX_CELLS:
         raise DomainError(
             f"the row pool of D({m},{n}) needs rows * n <= {_MAX_CELLS}, "
-            f"got {rows * n}"
+            f"got {_shown(rows * n)}"
         )
     return _compositions(m, n)
 
@@ -107,9 +113,22 @@ def _placements(pool, start, col_rem, cap, top, falls=(), tied=0):
 
 
 def count_D(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> int:
+    """|D(m, n)|, by the DP or, at n <= 5 past its DP nodes, by the Ehrhart
+    polynomial (n = 6 would need the DP to m = 11); past budget it raises."""
+    _check_budget(m, n, budget)
+    s = math.comb(n - 1, 2)
+    if n > 5 or m <= s:
+        return _count_dp(m, n, budget)
+    count = sum(dk * math.comb(m + n + s, k) for k, dk in enumerate(_differences(n)))
+    if count > budget:
+        raise BudgetExceededError(budget, count)
+    return count
+
+
+def _count_dp(m: int, n: int, budget: int) -> int:
     """|D(m, n)|, memoised on the rows left and the sorted column remainders
-    (permuting columns keeps the count); a count past the budget raises."""
-    pool = _row_pool(m, n, budget)
+    (permuting columns keeps the count); a partial count past budget raises."""
+    pool = _row_pool(m, n)
 
     @functools.cache
     def rec(left: int, col_rem: tuple[int, ...]) -> int:
@@ -129,6 +148,34 @@ def count_D(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> int:
         # rec's closure holds rec: break that cycle, so the memo and the
         # pool are freed now and not at some later garbage collection.
         del rec
+
+
+@functools.cache
+def _differences(n: int) -> tuple[int, ...]:
+    """The forward differences D_k of E(t) = |D(t, n)| at x0 = -(n + s),
+    s = C(n - 1, 2): E(m) = sum over k of D_k * C(m - x0, k), exactly.
+
+    D(t, n) is the integer points of tB_n, B_n the Birkhoff polytope, of
+    dimension d = (n - 1)^2, so E is a polynomial of degree d (Ehrhart).
+    The relative interior of tB_n has all entries > 0: its integer points
+    are J + D(t - n, n), J all ones, none for 0 < t < n.  So Ehrhart-
+    Macdonald reciprocity gives E(-t) = 0 for 0 < t < n and E(-n - k) =
+    (-1)^d E(k) for k >= 0.  With E(0) = 1 and E(1..s) from the DP, E is
+    known on the n + 2s + 1 = d + 2 integers x0..s.  The spare one checks
+    nothing: x -> -n - x maps x0..s onto itself, and the (d + 1)-st
+    difference of any (-1)^d-symmetric vector there is its own negative.
+    So the DP's E(s + 1) checks the nodes: each, off alone, moves E there.
+    """
+    d, s = (n - 1) ** 2, math.comb(n - 1, 2)
+    # The nodes run past any caller's budget: their work is fixed and small.
+    dp = [1] + [_count_dp(t, n, math.inf) for t in range(1, s + 2)]
+    values = [(-1) ** d * e for e in dp[s::-1]] + [0] * (n - 1) + dp[: s + 1]
+    for k in range(1, d + 2):  # now values[k] is the k-th difference at x0
+        values[k:] = [b - a for a, b in zip(values[k - 1 :], values[k:])]
+    check = sum(dk * math.comb(2 * s + n + 1, k) for k, dk in enumerate(values))
+    if check != dp[s + 1]:
+        raise TropdetError(f"|D({s + 1},{n})| is {dp[s + 1]} by DP, {check} by E_{n}")
+    return tuple(values[: d + 1])
 
 
 def _two_rows(m: int, col_rem: tuple[int, ...]) -> int:
@@ -201,7 +248,7 @@ def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
     w.  So every prefix of w passes, and the argument above still holds.
     """
     count = count_D(m, n, budget)
-    pool = _compositions(m, n)
+    pool = _row_pool(m, n)
     sign = 1 if minimize else -1
     signed = [tuple(sign * x for x in row) for row in pool]
     falls = [sum(1 << i for i in range(n - 1) if r[i] > r[i + 1]) for r in pool]
@@ -257,7 +304,9 @@ def random_ds(m: int, n: int, seed: int | None = None) -> DSMatrix:
     """
     split(m, n)
     if m * n > DEFAULT_VISIT_BUDGET:
-        raise DomainError(f"random needs m * n <= {DEFAULT_VISIT_BUDGET}, got {m * n}")
+        raise DomainError(
+            f"random needs m * n <= {DEFAULT_VISIT_BUDGET}, got {_shown(m * n)}"
+        )
     acc = _full(n, 0, m)
     rng = np.random.default_rng(seed)
     rows = np.arange(n)

@@ -18,6 +18,16 @@ __all__ = [
 ]
 
 
+def _shown(value: int) -> str:
+    """An integer as a message prints it: "a D-digit number" past 3914
+    digits, where Python's int-string limit could refuse it."""
+    if abs(value).bit_length() <= 13_000:  # 2^13000 < 10^3914
+        return str(value)
+    digits = int((abs(value).bit_length() - 1) * 0.30102999566398120) + 1
+    digits += abs(value) >= 10**digits  # log10(2) estimate: one short at most
+    return f"a {digits}-digit {'negative ' if value < 0 else ''}number"
+
+
 class TropdetError(Exception):
     """Base class for every error raised by this package."""
 
@@ -39,7 +49,7 @@ class LineSumError(TropdetError, ValueError):
         self.total = total
         self.expected = expected
         super().__init__(
-            f"{axis} {index} sums to {total}, expected {expected}"
+            f"{axis} {index} sums to {_shown(total)}, expected {_shown(expected)}"
         )
 
 
@@ -62,6 +72,6 @@ class BudgetExceededError(TropdetError, RuntimeError):
         self.budget = budget
         self.members = members
         super().__init__(
-            f"enumeration budget exceeded: at least {members} members "
-            f"(budget {budget})"
+            f"enumeration budget exceeded: at least {_shown(members)} members "
+            f"(budget {_shown(budget)})"
         )

@@ -20,6 +20,7 @@ from .errors import (
     LineSumError,
     MatrixParseError,
     MatrixShapeError,
+    _shown,
 )
 
 __all__ = [
@@ -156,7 +157,7 @@ class SplitParams:
 def split(m: int, n: int) -> SplitParams:
     """Divide the line sum by the matrix order: m = q*n + r, 0 <= r < n."""
     if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m} n={n}")
+        raise DomainError(f"need m >= 1 and n >= 1, got m={_shown(m)} n={_shown(n)}")
     q, r = divmod(m, n)
     return SplitParams(m=m, n=n, q=q, r=r)
 

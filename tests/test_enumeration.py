@@ -28,6 +28,8 @@ from tropdet.cli import main
 from tropdet.enumerate_ds import (
     _POOL_CACHE_SIZE,
     _compositions,
+    _count_dp,
+    _differences,
     _extend,
     _prefix_bound,
     _subsets,
@@ -115,6 +117,7 @@ class TestCounting:
     def test_macmahon_three_by_three(self):
         for m in range(1, 201):
             expected = math.comb(m + 2, 2) + 3 * math.comb(m + 3, 4)
+            assert _count_dp(m, 3, 10**10) == expected
             assert count_D(m, 3, budget=10**10) == expected
         # a bounded number of row pools stays cached, not one per m
         assert _compositions.cache_info().currsize <= _POOL_CACHE_SIZE < 200
@@ -124,7 +127,9 @@ class TestCounting:
         gc.collect()
         gc.disable()
         try:
-            assert count_D(30, 3) == math.comb(32, 2) + 3 * math.comb(33, 4)
+            expected = math.comb(32, 2) + 3 * math.comb(33, 4)
+            assert _count_dp(30, 3, 10**10) == expected
+            assert count_D(30, 3) == expected
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -220,18 +225,24 @@ class TestBudget:
             count_D(m, n)
 
     def test_pool_within_cell_limit_is_built(self, monkeypatch):
-        # C(202, 2) rows of 3 cells: 60903
+        # C(25, 5) rows of 6 cells: 318780; n = 6 has no polynomial path
         monkeypatch.setattr("tropdet.enumerate_ds._compositions", _unbuilt)
         with pytest.raises(AssertionError, match="built"):
-            count_D(200, 3, budget=10**10)
+            count_D(20, 6, budget=10**10)
 
     def test_midstream_stop(self):
-        # pool of 6 first rows passes the pre-check, then a partial count does
+        # 6! = 720 passes the pre-check, then a partial count of the DP does
+        with pytest.raises(BudgetExceededError) as err:
+            count_D(2, 6, budget=1000)
+        assert err.value.members == 1044
+        assert err.value.budget == 1000
+        assert err.value.members > err.value.budget
+
+    def test_polynomial_refuses_with_exact_count(self):
+        # 6 first rows pass the pre-check; the polynomial then gives |D|
         with pytest.raises(BudgetExceededError) as err:
             count_D(2, 3, budget=10)
-        assert err.value.members == 14
-        assert err.value.budget == 10
-        assert err.value.members > err.value.budget
+        assert (err.value.members, err.value.budget) == (21, 10)
 
     def test_budget_exactly_sufficient(self):
         assert count_D(2, 3, budget=21) == 21
@@ -336,6 +347,81 @@ UNREDUCED_CELLS = (
     + [(m, 4) for m in range(1, 5)]
     + [(2, 5)]
 )
+
+
+def ehrhart(n, t):
+    """E_n(t) from the forward differences, at any integer t: C(x, k) as a
+    falling factorial over k!, exact also for x < 0."""
+    x = t + n + math.comb(n - 1, 2)
+    return sum(
+        dk * math.prod(range(x - k + 1, x + 1)) // math.factorial(k)
+        for k, dk in enumerate(_differences(n))
+    )
+
+
+class TestEhrhart:
+    """count_D at n <= 5 past m = s = C(n - 1, 2) evaluates the Ehrhart
+    polynomial of the Birkhoff polytope, built from the DP at m <= s + 1."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_reciprocity(self, n):
+        d = (n - 1) ** 2
+        assert ehrhart(n, 0) == 1
+        assert [ehrhart(n, -t) for t in range(1, n)] == [0] * (n - 1)
+        for k in (0, 1, 2, 5, 9, 40, 1000):
+            assert ehrhart(n, -n - k) == (-1) ** d * ehrhart(n, k)
+        s = math.comb(n - 1, 2)
+        for k in (s + 1, s + 2):  # past the nodes, against the DP itself
+            assert ehrhart(n, -n - k) == (-1) ** d * _count_dp(k, n, 10**10)
+
+    @pytest.mark.parametrize(
+        "n,ms", [(3, range(2, 41)), (4, range(4, 13)), (1, range(1, 9)), (2, range(1, 9))]
+    )
+    def test_matches_dp_past_the_nodes(self, n, ms):
+        # n = 5 at m = 7 and 8: PINNED_COUNTS, from the row-orbit walk
+        for m in ms:
+            assert count_D(m, n, budget=10**10) == _count_dp(m, n, 10**10)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_paths_agree_at_the_switch(self, n):
+        s = math.comb(n - 1, 2)
+        for m in (s, s + 1):
+            assert count_D(m, n, budget=10**10) == _count_dp(m, n, 10**10)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_node_off_by_one_raises(self, monkeypatch, n):
+        s = math.comb(n - 1, 2)
+        for node in range(1, s + 2):
+            monkeypatch.setattr(
+                "tropdet.enumerate_ds._count_dp",
+                lambda m, k, budget, node=node: _count_dp(m, k, budget) + (m == node),
+            )
+            _differences.cache_clear()
+            try:
+                with pytest.raises(TropdetError, match=f"by DP, .* by E_{n}$"):
+                    count_D(s + 2, n)
+            finally:
+                _differences.cache_clear()
+
+    def test_huge_m_matches_macmahon(self):
+        m = 10**18
+        expected = math.comb(m + 2, 2) + 3 * math.comb(m + 3, 4)
+        assert count_D(m, 3, budget=10**80) == expected
+
+    def test_search_pool_keeps_the_cell_limit(self, monkeypatch):
+        # the count passes by the polynomial; the search's pool of C(100002, 2)
+        # rows must still be refused before it is built
+        monkeypatch.setattr("tropdet.enumerate_ds._compositions", _unbuilt)
+        with pytest.raises(DomainError, match="rows \\* n <= 25000000"):
+            brute_L(10**5, 3, budget=10**30)
+
+    def test_cli_counts_a_million_by_five(self, capsys, monkeypatch):
+        monkeypatch.setenv("TROPDET_MAX_VISITS", "1" + "0" * 100)
+        code = main(["enumerate", "--m", "1000000", "--n", "5", "--stat", "count"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out == f"|D(1000000,5)| = {ehrhart(5, 10**6)}\n"
+        assert len(str(ehrhart(5, 10**6))) == 90
 
 
 class TestRowOrbitWalk:
