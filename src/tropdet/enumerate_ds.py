@@ -1,16 +1,16 @@
 """Exhaustive counting of D(m, n) and brute-force extremes.
 
 Matrices are built row by row, in ascending row-major order, from the
-compositions of m into n parts.  A prefix survives only while every column
-remainder stays between 0 and m * rows_left, so it completes (the last row
-is forced).  `count_D` counts the members, memoised on the sorted column
-remainders, with the last two rows in closed form; at n <= 5, past a few
-m, it evaluates the Ehrhart polynomial of the Birkhoff polytope instead.
-`brute_L` and `brute_U` branch and bound over the members with sorted rows
-(permuting rows changes neither tdet nor tropdet), trying only rows that
-do not fall between two adjacent columns equal on every placed row:
-orderly generation up to column permutations too.  A budget, counted in
-members, caps the work: each refuses once a count passes it.
+compositions of m into n parts (one int64 array).  A prefix survives only
+while every column remainder stays in [0, m * rows_left], so it completes
+(the last row is forced); one numpy filter tests all rows at a node.
+`count_D` counts the members, memoised on the sorted remainders, the last
+two rows in closed form; at n <= 5, past a few m, it evaluates the Ehrhart
+polynomial of the Birkhoff polytope instead.  `brute_L` and `brute_U`
+branch and bound over the members with sorted rows, skipping rows that
+fall between two adjacent columns equal on every placed row, and extend
+their column-subset tables for all of a node's children at once.  A
+budget, counted in members, caps the work: each refuses past it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import numpy as np
 
 from .assignment import tdet, tropdet
 from .errors import BudgetExceededError, DomainError, TropdetError, _shown
-from .matrices import _MAX_CELLS, DSMatrix, IntMatrix, _full, split, validate_ds
+from .matrices import (
+    _MAX_CELLS, DSMatrix, IntMatrix, _full, check_entry_limit, split, validate_ds
+)
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
@@ -54,14 +56,18 @@ class EnumStats:
 
 
 @functools.lru_cache(maxsize=_POOL_CACHE_SIZE)
-def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    """The compositions of total into parts, ascending: stars and bars,
-    whose bar positions ascend with the composition."""
-    ends = total + parts - 1
-    return tuple(
-        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (ends,)))
-        for bars in itertools.combinations(range(ends), parts - 1)
-    )
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """The compositions of total into parts, ascending, as a read-only int64
+    array: bars in combinations order, bar i less i the sum of parts 0..i.
+    At parts = 1 no combinations run: they would hold all of range(total)."""
+    k = parts - 1
+    rows = math.comb(total + k, k)
+    bars = itertools.combinations(range(total + k), k) if k else [()]
+    flat = np.fromiter(itertools.chain.from_iterable(bars), np.int64, rows * k)
+    sums = flat.reshape(rows, k) - np.arange(k)
+    pool = np.diff(sums, axis=1, prepend=0, append=total)
+    pool.flags.writeable = False
+    return pool
 
 
 def _check_budget(m: int, n: int, budget: int) -> None:
@@ -81,35 +87,30 @@ def _check_budget(m: int, n: int, budget: int) -> None:
             raise BudgetExceededError(budget, max(rows, perms))
 
 
-def _row_pool(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+def _row_pool(m: int, n: int) -> np.ndarray:
     """The compositions of m into n parts, after _check_budget has passed:
-    refused if the pool, stored as tuples, passes the cell limit."""
+    refused past the cell limit, or past int64 (only n = 1 gets there)."""
     rows = math.comb(m + n - 1, n - 1)  # at most the budget, by that check
     if rows * n > _MAX_CELLS:
         raise DomainError(
             f"the row pool of D({m},{n}) needs rows * n <= {_MAX_CELLS}, "
             f"got {_shown(rows * n)}"
         )
+    check_entry_limit(m, n)
     return _compositions(m, n)
 
 
-def _placements(pool, start, col_rem, cap, top, falls=(), tied=0):
-    """(index, column remainders after it) for each row of pool[start:] that
-    keeps every remainder in [0, cap] and falls across no tied column pair
-    (bit i: columns i, i + 1), until a first entry passes top."""
-    for j in range(start, len(pool)):
-        if pool[j][0] > top:
-            return
-        if tied and falls[j] & tied:
-            continue
-        rest = []
-        for c, x in zip(col_rem, pool[j]):
-            d = c - x
-            if d < 0 or d > cap:
-                break
-            rest.append(d)
-        else:
-            yield j, tuple(rest)
+def _fits(pool, start, col_rem, cap, top, falls=None, tied=0):
+    """The indices and column remainders of the rows of pool[start:], up to
+    the last whose first entry is <= top, that keep every remainder in
+    [0, cap] and fall across no tied column pair (bit i: columns i, i + 1)."""
+    end = pool[:, 0].searchsorted(top, side="right")
+    rest = col_rem - pool[start:end]
+    # As uint64 a negative remainder wraps past cap.
+    keep = (rest.view(np.uint64) <= cap).all(axis=1)
+    if tied:
+        keep &= (falls[start:end] & tied) == 0
+    return keep.nonzero()[0] + start, rest[keep]
 
 
 def count_D(m: int, n: int, budget: int = DEFAULT_VISIT_BUDGET) -> int:
@@ -135,8 +136,9 @@ def _count_dp(m: int, n: int, budget: int) -> int:
         if left <= 2:
             return 1 if left == 1 else _two_rows(m, col_rem)
         total = 0
-        for _, rest in _placements(pool, 0, col_rem, m * (left - 1), m):
-            total += rec(left - 1, tuple(sorted(rest)))
+        _, rest = _fits(pool, 0, np.array(col_rem), m * (left - 1), m)
+        for key in np.sort(rest, axis=1).tolist():
+            total += rec(left - 1, tuple(key))
             # A partial count is <= |D(m, n)|: refuse once it passes budget.
             if total > budget:
                 raise BudgetExceededError(budget, total)
@@ -193,38 +195,37 @@ def _two_rows(m: int, col_rem: tuple[int, ...]) -> int:
     return sum(s * math.comb(t - d + n - 1, n - 1) for d, s in terms)
 
 
-@functools.lru_cache(maxsize=None)
-def _subsets(n: int) -> tuple:
-    """For k = 0..n, the k-subsets S of range(n) in combinations order, each
-    as the pairs (j, index of S - {j} in level k - 1) over j in S."""
-    levels = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
-    return tuple(
-        tuple(
-            tuple((j, levels[k - 1].index(tuple(c for c in s if c != j))) for j in s)
-            for s in level
-        )
-        for k, level in enumerate(levels)
-    )
+@functools.cache
+def _tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For k = 0..n, the k-subsets S of range(n) in combinations order, as
+    two read-only (C(n, k) x k) int arrays: the columns j of each S, and the
+    rank of S - {j} among the (k - 1)-subsets."""
+    levels, rank = [], {}
+    for k in range(n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        parents = [rank[s[:i] + s[i + 1 :]] for s in subsets for i in range(k)]
+        rank = {s: i for i, s in enumerate(subsets)}
+        for a in (subsets, parents):
+            levels.append(np.array(a, np.intp).reshape(len(subsets), k))
+            levels[-1].flags.writeable = False
+    return tuple(zip(levels[::2], levels[1::2]))
 
 
-def _extend(g: list[int], row: tuple[int, ...], level: tuple) -> list[int]:
-    """From g over the k-subsets, g over the (k + 1)-subsets after row."""
-    return [max([g[p] + row[j] for j, p in links]) for links in level]
-
-
-def _prefix_bound(g, level, col_rem, left: int, sign: int) -> int:
-    """A lower bound on the largest transversal of sign * a over every
-    member a that completes the placed rows, exact with one row left.
-
-    g[i] is the placed rows' largest partial transversal of sign * a into
-    the i-th subset S of `level`.  Over the bijections from the `left` rows
-    still to place to the columns outside S, their transversal averages
-    the sum of col_rem outside S over left; the best is at least the
-    ceiling of that average.
-    """
-    total = sum(col_rem)
-    outside = [total - sum([col_rem[j] for j, _ in links]) for links in level]
-    return max([v - (-sign * r // left) for v, r in zip(g, outside)])
+def _expand(pool, falls, m, sign, level, start, col_rem, left, tied, g):
+    """The children of a node with `left` rows to place, all at once: the
+    rows j that _fits lets follow row start, with each child's remainders,
+    g and bound.  g[S], S in `level`, is the largest partial transversal of
+    sign * a into the columns S.  The rows after the child, over bijections
+    onto the columns outside S, average the remainders' sum there over their
+    number; the bound, max over S of g[S] plus that average's ceiling, is at
+    most every completion's key, and equals it with one row left."""
+    cap = m * (left - 1)  # also the sum of each child's remainders
+    idx, rest = _fits(pool, start, col_rem, cap, col_rem[0] // left, falls, tied)
+    cols, parents = level
+    g_next = (g[parents] + sign * pool[idx][:, cols]).max(axis=2)
+    outside = cap - rest[:, cols].sum(axis=2)
+    bounds = (g_next - (-sign * outside) // (left - 1)).max(axis=1)
+    return idx, rest, g_next, bounds
 
 
 def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
@@ -250,32 +251,31 @@ def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
     count = count_D(m, n, budget)
     pool = _row_pool(m, n)
     sign = 1 if minimize else -1
-    signed = [tuple(sign * x for x in row) for row in pool]
-    falls = [sum(1 << i for i in range(n - 1) if r[i] > r[i + 1]) for r in pool]
-    ties = [sum(1 << i for i in range(n - 1) if r[i] == r[i + 1]) for r in pool]
-    levels = _subsets(n)
-    best_key, best_flat = math.inf, ()
+    bits = 1 << np.arange(n - 1)
+    falls = (pool[:, :-1] > pool[:, 1:]) @ bits
+    ties = ((pool[:, :-1] == pool[:, 1:]) @ bits).tolist()
+    levels = _tables(n)
 
-    def rec(placed, prev, g, col_rem, acc, tied):
-        nonlocal best_key, best_flat
-        left = n - placed
-        bound = _prefix_bound(g, levels[placed], col_rem, left, sign)
-        # The forced last row must not sort before the row above it.
-        if bound >= best_key or (left == 1 and col_rem < pool[prev]):
-            return
-        if left == 1:
-            best_key, best_flat = bound, acc + col_rem
-            return
-        # Each row left is >= pool[j], so takes pool[j][0] or more of column 0.
-        top = col_rem[0] // left
-        cap = m * (left - 1)
-        for j, rest in _placements(pool, prev, col_rem, cap, top, falls, tied):
-            g_next = _extend(g, signed[j], levels[placed + 1])
-            rec(placed + 1, j, g_next, rest, acc + pool[j], tied & ties[j])
+    def rec(left, prev, g, col_rem, path, tied):
+        nonlocal best_key, best
+        idx, rest, g_next, bounds = _expand(
+            pool, falls, m, sign, levels[n - left + 1], prev, col_rem, left, tied, g
+        )
+        for i, (j, bound) in enumerate(zip(idx.tolist(), bounds.tolist())):
+            if bound >= best_key:
+                continue
+            if left > 2:
+                rec(left - 1, j, g_next[i], rest[i], path + [j], tied & ties[j])
+            # The forced last row must not sort before the row above it.
+            elif rest[i].tolist() >= pool[j].tolist():
+                best_key, best = bound, (path + [j], rest[i])
 
-    rec(0, 0, [0], (m,) * n, (), (1 << (n - 1)) - 1)
+    root = np.full(n, m, np.int64)
+    best_key, best = sign * m if n == 1 else math.inf, ([], root)  # n = 1: a leaf
+    if n > 1:
+        rec(n, 0, np.zeros(1, np.int64), root, [], (1 << (n - 1)) - 1)
     value = sign * best_key
-    witness = validate_ds(IntMatrix(n, n, best_flat))
+    witness = validate_ds(IntMatrix(n, n, np.vstack([pool[best[0]], best[1]])))
     name, solve = ("tdet", tdet) if minimize else ("tropdet", tropdet)
     check = solve(witness.matrix).value
     if check != value:

@@ -48,8 +48,8 @@ def check_entry_limit(max_entry: int, side: int) -> None:
 
 
 # The most cells of a structure built from (m, n) alone: an n x n array peaks
-# near 17 bytes a cell, so about 0.4 GB at this limit; count_D's row pool of
-# int tuples takes 12-52 bytes a cell (most at n = 3), so up to about 1.3 GB.
+# near 17 bytes a cell, so about 0.4 GB at this limit; count_D's row pool is
+# int64, 8 bytes a cell, and its build peaks near 4 times that: 0.8 GB.
 _MAX_CELLS = 25_000_000
 
 
@@ -300,9 +300,10 @@ def parse_matrix(text: str) -> IntMatrix:
     One matrix row per line, entries are decimal non-negative integers
     separated by whitespace.  LF and CRLF both work; trailing blank lines
     are ignored.  Anything else (empty input, ragged rows, negative or
-    non-integer tokens) raises.  Canonical text, as ``serialize`` writes
-    it, is checked and converted byte-wise by numpy; any other text goes
-    token by token, and only that path words the errors.
+    non-integer tokens, tokens past 2**63 - 1) raises.  Canonical text, as
+    ``serialize`` writes it, is checked and converted byte-wise by numpy;
+    any other text goes token by token, and only that path words the
+    errors.
     """
     fast = _parse_canonical(text.rstrip("\n"))
     if fast is not None:
@@ -325,11 +326,16 @@ def parse_matrix(text: str) -> IntMatrix:
                     "(decimal non-negative integers only)"
                 )
             try:
-                row.append(int(tok))
+                value = int(tok)
             except ValueError:  # past the interpreter's int string limit
                 raise MatrixParseError(
                     f"line {lineno}: a {len(tok)}-digit token is too long"
                 )
+            if value > 2**63 - 1:
+                raise MatrixParseError(
+                    f"line {lineno}: token {tok!r} is past 2**63 - 1"
+                )
+            row.append(value)
         rows.append(row)
     width = len(rows[0])
     for i, row in enumerate(rows):

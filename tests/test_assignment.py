@@ -270,6 +270,38 @@ class TestFloatGuard:
         with pytest.raises(DomainError, match=r"n \* \(max - min\) < 2\*\*53"):
             solve(mat([[0, t], [t, 0]]))
 
+    # 2**53 - 1 = 6361 * 69431 * 20394401, so no small n has n * (max - min)
+    # there: at n = 2 the widest answered range is 2**53 - 2.
+    def test_widest_answered_range(self):
+        lo, r = 2**52, 2**52 - 1  # n * max past 2**53: the shift runs
+        a = mat([[lo + r, lo + 7], [lo, lo + r - 1]])
+        sums = transversal_sums(a.array)
+        assert tdet(a).value == sums.max() == 2 * lo + 2 * r - 1
+        assert tropdet(a).value == sums.min() == 2 * lo + 7
+
+    @pytest.mark.parametrize("solve", [tdet, tropdet])
+    def test_first_refused_range(self, solve):
+        lo, r = 5, 2**52  # n * (max - min) = 2**53
+        with pytest.raises(DomainError, match=r"n \* \(max - min\) < 2\*\*53"):
+            solve(mat([[lo, lo + r], [lo + r, lo]]))
+
+    # With min = 1 the shift starts at n * max = 2**53: below it the entries
+    # go to float64 as they are, from it on less their minimum.
+    @pytest.mark.parametrize("top,shifted", [(2**52 - 1, False), (2**52, True)])
+    def test_shift_start(self, monkeypatch, top, shifted):
+        a = mat([[1, top], [top - 1, 2]])
+        sums = transversal_sums(a.array)
+        subtract, calls = np.subtract, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return subtract(*args, **kwargs)
+
+        monkeypatch.setattr(np, "subtract", spy)
+        assert tdet(a).value == sums.max() == 2 * top - 1
+        assert tropdet(a).value == sums.min() == 3
+        assert bool(calls) == shifted
+
 
 class TestCertificate:
     @staticmethod

@@ -30,9 +30,8 @@ from tropdet.enumerate_ds import (
     _compositions,
     _count_dp,
     _differences,
-    _extend,
-    _prefix_bound,
-    _subsets,
+    _expand,
+    _tables,
     _two_rows,
 )
 
@@ -494,6 +493,37 @@ class TestWiderGrid:
             assert low.count == PINNED_COUNTS[(m, n)]
 
 
+# Nodes the search expands, brute_L / brute_U, counted before the search
+# ran on the batched numpy kernel: the kernel walks the same tree.
+EXPANDED_NODES = {
+    (5, 4): (16, 13),
+    (6, 4): (17, 8),
+    (8, 4): (25, 19),
+    (2, 5): (12, 6),
+    (3, 5): (17, 7),
+    (2, 6): (28, 11),
+    (3, 7): (163, 211),
+    (4, 7): (139, 100),
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(EXPANDED_NODES))
+def test_expanded_nodes_pinned(monkeypatch, m, n):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _expand(*args)
+
+    monkeypatch.setattr("tropdet.enumerate_ds._expand", counted)
+    expanded = []
+    for search in (brute_L, brute_U):
+        calls.clear()
+        search(m, n, budget=10**13)
+        expanded.append(len(calls))
+    assert tuple(expanded) == EXPANDED_NODES[(m, n)]
+
+
 class TestPrefixBound:
     """The branch-and-bound's bound, after every prefix of rows of a
     member, never passes the member's own tdet or tropdet, and is exact
@@ -504,19 +534,53 @@ class TestPrefixBound:
         a = random_ds(m, n, seed=seed).matrix
         sums = transversal_sums(a.array)
         high, low = int(sums.max()), int(sums.min())
-        levels = _subsets(n)
-        g_max, g_min, col_rem = [0], [0], [m] * n
-        for k, row in enumerate(a.array.tolist()):
-            left = n - k
-            tdet_bound = _prefix_bound(g_max, levels[k], col_rem, left, 1)
-            tropdet_bound = -_prefix_bound(g_min, levels[k], col_rem, left, -1)
+        # Rows sorted, as the search places them: row k then passes the
+        # search's filter as the one row of the pool (tied = 0: no pairs).
+        rows = np.array(sorted(a.array.tolist()), dtype=np.int64)
+        no_falls = np.zeros(1, np.int64)
+        levels = _tables(n)
+        g_max = g_min = np.zeros(1, np.int64)
+        col_rem = np.full(n, m, np.int64)
+        for k in range(n - 1):
+            pool, level, left = rows[k : k + 1], levels[k + 1], n - k
+            _, rest, g_max, tdet_bound = _expand(
+                pool, no_falls, m, 1, level, 0, col_rem, left, 0, g_max
+            )
+            _, _, g_min, tropdet_bound = _expand(
+                pool, no_falls, m, -1, level, 0, col_rem, left, 0, g_min
+            )
+            assert len(rest) == 1
+            tdet_bound, tropdet_bound = int(tdet_bound[0]), -int(tropdet_bound[0])
             assert tdet_bound <= high
             assert tropdet_bound >= low
-            if left == 1:
+            if k == n - 2:  # the last row is forced
                 assert (tdet_bound, tropdet_bound) == (high, low)
-            g_max = _extend(g_max, row, levels[k + 1])
-            g_min = _extend(g_min, [-x for x in row], levels[k + 1])
-            col_rem = [c - x for c, x in zip(col_rem, row)]
+            g_max, g_min, col_rem = g_max[0], g_min[0], rest[0]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_parent_ranks_in_combinations_order(self, n):
+        for k, (cols, parents) in enumerate(_tables(n)):
+            subsets = list(itertools.combinations(range(n), k))
+            below = list(itertools.combinations(range(n), max(k - 1, 0)))
+            assert cols.tolist() == [list(s) for s in subsets]
+            assert parents.tolist() == [
+                [below.index(tuple(c for c in s if c != j)) for j in s] for s in subsets
+            ]
+
+
+class TestOneColumn:
+    """At n = 1 the pool is the one row (m), for every m within int64."""
+
+    @pytest.mark.parametrize("m", [1, 2**40, 2**63 - 1])
+    def test_single_entry(self, m):
+        for search in (brute_L, brute_U):
+            stats = search(m, 1)
+            assert (stats.count, stats.extremum) == (1, m)
+            assert stats.witness.matrix.entries == (m,)
+
+    def test_past_int64_refused(self):
+        with pytest.raises(DomainError, match="int64 limit"):
+            brute_L(2**63, 1)
 
 
 class TestRandom:

@@ -24,7 +24,9 @@ from tropdet.matrices import _CHUNK, _parse_canonical, structured_doc
 
 # Outcomes of parse_matrix recorded from the per-token parser before the
 # numpy fast path existed: (name, text, fast, outcome), where outcome is
-# ("ok", rows) or (exception type name, message).  `fast` marks the
+# ("ok", rows) or (exception type name, message).  Tokens past 2**63 - 1
+# were refused later by the entry limit or the dtype check; the token path
+# now refuses them first, naming the line and the token.  `fast` marks the
 # canonical texts that the numpy path accepts; every other text must fall
 # through to the per-token loop.
 BAD = "(decimal non-negative integers only)"
@@ -32,6 +34,7 @@ LIMIT = (
     "per line can sum past the int64 limit: "
     "need max entry * max(rows, cols) <= 2**63 - 1"
 )
+PAST = "is past 2**63 - 1"
 I2 = [[1, 0], [0, 1]]
 PARSE_TABLE = [
     ("canonical", "1 2\n3 4\n", True, ("ok", [[1, 2], [3, 4]])),
@@ -70,12 +73,11 @@ PARSE_TABLE = [
     ("nineteen_digits", "1000000000000000000 0\n0 1000000000000000000", True,
      ("ok", [[1000000000000000000, 0], [0, 1000000000000000000]])),
     ("two_pow_63", "9223372036854775808", False,
-     ("DomainError", f"entries up to 9223372036854775808 with 1 {LIMIT}")),
+     ("MatrixParseError", f"line 1: token '9223372036854775808' {PAST}")),
     ("twenty_digits", "12345678901234567890", False,
-     ("DomainError", f"entries up to 12345678901234567890 with 1 {LIMIT}")),
+     ("MatrixParseError", f"line 1: token '12345678901234567890' {PAST}")),
     ("twenty_one_digits", "123456789012345678901", False,
-     ("MatrixParseError",
-      "entries must be integers in [0, 2**63 - 1], got object values")),
+     ("MatrixParseError", f"line 1: token '123456789012345678901' {PAST}")),
     ("past_int_string_limit", "9" * 5000, False,
      ("MatrixParseError", "line 1: a 5000-digit token is too long")),
     ("empty", "", False, ("MatrixParseError", "empty input")),
@@ -120,6 +122,28 @@ class TestPlainFormat:
             parse_matrix(text)
         assert type(err.value).__name__ == kind
         assert str(err.value) == expected
+
+    # 2**63 and 10**19 have 19 and 20 digits: the fast path's uint64 pass
+    # turns them negative.  2**64, 2**64 + 1 and 2 * 10**19 + 1 wrap past
+    # 2**64 there, to 0, 1 and 1553255926290448385, so only its 19-digit
+    # width limit keeps them from being read as those.
+    @pytest.mark.parametrize(
+        "token", [2**63, 10**19, 2**64, 2**64 + 1, 2 * 10**19 + 1], ids=str
+    )
+    @pytest.mark.parametrize(
+        "layout,line",
+        [("{t}", 1), ("{t} 0\n0 {t}", 1), ("0 1\n1 {t}\n", 2)],
+        ids=["1x1", "diagonal", "second_line"],
+    )
+    def test_token_past_int64_named(self, token, layout, line):
+        text = layout.format(t=token)
+        assert _parse_canonical(text.rstrip("\n")) is None
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix(text)
+        assert str(err.value) == f"line {line}: token '{token}' {PAST}"
+
+    def test_last_int64_token_accepted(self):
+        assert parse_matrix(f"{2**63 - 1}\n").array.tolist() == [[2**63 - 1]]
 
     @given(int_matrices())
     def test_render_and_round_trip(self, a):
@@ -173,6 +197,8 @@ def reference_parse(text: str) -> IntMatrix:
         for tok in tokens:
             if not (tok.isascii() and tok.isdigit()):
                 raise MatrixParseError(f"line {lineno}: bad token {tok!r} {BAD}")
+            if int(tok) >= 2**63:
+                raise MatrixParseError(f"line {lineno}: token {tok!r} {PAST}")
         rows.append([int(tok) for tok in tokens])
     for i, row in enumerate(rows):
         if len(row) != len(rows[0]):
