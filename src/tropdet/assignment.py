@@ -111,19 +111,19 @@ def check_certificate(
     if sorted(cert.perm) != list(range(n)):
         raise CertificateError("witness is not a permutation")
     perm = np.array(cert.perm, dtype=np.intp)
-    # slack = a_ij - u_i - v_j, negated when minimizing, must be <= 0 on
-    # every cell and 0 on the witness cells.  One n x n temporary.
-    slack = np.subtract(arr, v)
-    slack -= u[:, None]
-    if not maximize:
-        np.negative(slack, out=slack)
-    if slack.max() > 0:
+    # slack = a_ij - u_i - v_j, negated when minimizing, must be <= 0 on every
+    # cell (checked by column on one temporary, a - u; only a failure builds
+    # the slack, to name its cell) and 0 on the witness cells.
+    shifted = np.subtract(arr, u[:, None])
+    worst = shifted.max(axis=0) - v if maximize else v - shifted.min(axis=0)
+    if worst.max() > 0:
+        slack = shifted - v if maximize else v - shifted
         i, j = np.unravel_index(slack.argmax(), slack.shape)
         sense = ">=" if maximize else "<="
         raise CertificateError(
             f"dual bound fails at cell ({i}, {j}): need u_i + v_j {sense} a_ij"
         )
-    loose = slack[np.arange(n), perm].nonzero()[0]
+    loose = (arr[np.arange(n), perm] - u - v[perm]).nonzero()[0]
     if loose.size:
         i = int(loose[0])
         raise CertificateError(f"witness cell ({i}, {perm[i]}) is not tight")

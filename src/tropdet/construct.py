@@ -2,10 +2,10 @@
 
 construct_min_tdet builds a matrix whose maximum transversal meets the
 sharp lower bound; construct_max_tropdet builds one whose minimum
-transversal meets the sharp upper bound.  All constructions are block
-matrices [[A1, A2], [A3, A4]] (possibly with empty off-blocks): one
-constant int64 array with circulant bands written into its slices, and,
-in the hard case, an upper-left block dealt round-robin in closed form.
+transversal meets the sharp upper bound.  Each is a block matrix [[A1, A2],
+[A3, A4]], off-blocks possibly empty, built in the one n x n int64 array it
+keeps: a constant, circulant bands (bool windows over one cycled pattern)
+added in place, and in the hard case an upper-left block dealt round-robin.
 extremal_certificate gives the duals and the witness permutation that
 prove each construction's value with assignment.check_certificate.
 """
@@ -87,10 +87,13 @@ def plan_hard_case(m: int, n: int) -> BlockPlan:
 def _band(
     rows: int, cols: int, di: int, dj: int, p: int, band: int
 ) -> np.ndarray:
-    """rows x cols circulant mask, True where (dj*j + di*i) mod p < band."""
-    i = np.arange(rows)[:, None]
-    j = np.arange(cols)[None, :]
-    return (dj * j + di * i) % p < band
+    """rows x cols circulant mask, True where (dj*j + di*i) mod p < band: row
+    i is the window at (di*i) mod p of k mod p < band (dj = 1, else transposed)."""
+    if dj != 1:
+        return _band(cols, rows, dj, di, p, band).T
+    pattern = np.arange(p - 1 + cols) % p < band
+    windows = np.ndarray((p, cols), bool, pattern.data.toreadonly(), 0, (1, 1))
+    return windows[di * np.arange(rows) % p]
 
 
 def _deal(plan: BlockPlan) -> np.ndarray:
@@ -138,7 +141,7 @@ def construct_min_tdet(m: int, n: int) -> DSMatrix:
             # drop of (n - 2r) // r everywhere plus a circulant -1 band.
             drop, band = divmod(n - 2 * r, r)
             assert q - drop - (1 if band else 0) >= 0
-            body[:r, :r] -= drop + _band(r, r, -1, 1, r, band)
+            np.subtract(q - drop, _band(r, r, -1, 1, r, band), out=body[:r, :r])
         body[:r, r:] += 1
         body[r:, :r] += 1
     elif tag in (CaseTag.HARD_CASE1, CaseTag.HARD_CASE2):
@@ -147,7 +150,7 @@ def construct_min_tdet(m: int, n: int) -> DSMatrix:
         body[:l1, :l2] = _deal(plan)
         body[:l1, l2:] += _band(l1, n - l2, 1, -r, l1, r)
         body[l1:, :l2] += _band(n - l1, l2, -r, 1, l2, r)
-    return validate_ds(IntMatrix(n, n, body))
+    return validate_ds(IntMatrix._adopt(body))
 
 
 def construct_max_tropdet(m: int, n: int) -> DSMatrix:
@@ -161,9 +164,9 @@ def construct_max_tropdet(m: int, n: int) -> DSMatrix:
     lift, band = divmod(r, side)
     body = _full(n, q, q + lift + (band > 0))
     if r:
-        body[:side, :side] += lift + _band(side, side, -1, 1, side, band)
+        np.add(_band(side, side, -1, 1, side, band), q + lift, out=body[:side, :side])
         body[side:, side:] += 1
-    return validate_ds(IntMatrix(n, n, body))
+    return validate_ds(IntMatrix._adopt(body))
 
 
 def _band_witness(size: int, r: int) -> np.ndarray:

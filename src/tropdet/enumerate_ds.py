@@ -58,14 +58,20 @@ class EnumStats:
 @functools.lru_cache(maxsize=_POOL_CACHE_SIZE)
 def _compositions(total: int, parts: int) -> np.ndarray:
     """The compositions of total into parts, ascending, as a read-only int64
-    array: bars in combinations order, bar i less i the sum of parts 0..i.
-    At parts = 1 no combinations run: they would hold all of range(total)."""
+    array filled in place, 1024 rows a pass: part i is bar i less bar i - 1,
+    less 1, with bars in combinations order.  At parts = 1 no combinations
+    run: they would hold all of range(total)."""
     k = parts - 1
     rows = math.comb(total + k, k)
-    bars = itertools.combinations(range(total + k), k) if k else [()]
-    flat = np.fromiter(itertools.chain.from_iterable(bars), np.int64, rows * k)
-    sums = flat.reshape(rows, k) - np.arange(k)
-    pool = np.diff(sums, axis=1, prepend=0, append=total)
+    pool = np.empty((rows, parts), np.int64)
+    bars = itertools.combinations(range(total + k), k) if k else iter([()])
+    for lo in range(0, rows, 1024):
+        block = pool[lo : lo + 1024, :k]
+        flat = itertools.chain.from_iterable(itertools.islice(bars, len(block)))
+        block[...] = np.fromiter(flat, np.int64, block.size).reshape(block.shape)
+    pool[:, k] = total + k  # a last bar, past the others
+    for i in range(k, 0, -1):
+        pool[:, i] -= pool[:, i - 1] + 1
     pool.flags.writeable = False
     return pool
 
@@ -275,7 +281,7 @@ def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
     if n > 1:
         rec(n, 0, np.zeros(1, np.int64), root, [], (1 << (n - 1)) - 1)
     value = sign * best_key
-    witness = validate_ds(IntMatrix(n, n, np.vstack([pool[best[0]], best[1]])))
+    witness = validate_ds(IntMatrix._adopt(np.vstack([pool[best[0]], best[1]])))
     name, solve = ("tdet", tdet) if minimize else ("tropdet", tropdet)
     check = solve(witness.matrix).value
     if check != value:
@@ -312,4 +318,4 @@ def random_ds(m: int, n: int, seed: int | None = None) -> DSMatrix:
     rows = np.arange(n)
     for _ in range(m):
         acc[rows, rng.permutation(n)] += 1
-    return validate_ds(IntMatrix(n, n, acc))
+    return validate_ds(IntMatrix._adopt(acc))

@@ -81,7 +81,7 @@ class IntMatrix:
     entries: InitVar[ArrayLike]
     array: np.ndarray = field(init=False)
 
-    def __post_init__(self, rows: int, cols: int, entries: ArrayLike):
+    def __post_init__(self, rows: int, cols: int, entries: ArrayLike, copy=True):
         if rows < 0 or cols < 0:
             raise MatrixShapeError(f"negative dimensions {rows}x{cols}")
         raw = np.asarray(entries)
@@ -97,14 +97,20 @@ class IntMatrix:
                     "entries must be integers in [0, 2**63 - 1], "
                     f"got {raw.dtype} values"
                 )
-            negative = (raw < 0).ravel().nonzero()[0]
-            if negative.size:
-                k = int(negative[0])
+            if raw.min() < 0:
+                k = int(np.argmax(raw.ravel() < 0))
                 raise MatrixParseError(f"entry {k} is negative: {raw.flat[k]}")
             check_entry_limit(int(raw.max()), max(rows, cols))
-        array = raw.astype(np.int64)  # always a private copy
+        array = raw.astype(np.int64, copy=copy)  # a private copy, but in _adopt
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
+
+    @classmethod
+    def _adopt(cls, array: np.ndarray) -> IntMatrix:
+        """IntMatrix of a fresh 2-D array nothing else writes: checked, not copied."""
+        self = object.__new__(cls)
+        self.__post_init__(*array.shape, array, copy=False)
+        return self
 
     @property
     def rows(self) -> int:
@@ -307,7 +313,7 @@ def parse_matrix(text: str) -> IntMatrix:
     """
     fast = _parse_canonical(text.rstrip("\n"))
     if fast is not None:
-        return IntMatrix(*fast.shape, fast)
+        return IntMatrix._adopt(fast)
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()

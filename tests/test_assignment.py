@@ -369,3 +369,57 @@ class TestCertificate:
     def test_unknown_objective(self):
         with pytest.raises(DomainError):
             extremal_certificate(7, 6, "max")
+
+
+class TestCertificateMessages:
+    """The exact cell each failure names.  At (7, 6) the min-tdet member is
+    checked with maximize=True, the max-tropdet member with maximize=False;
+    off the witness, each cell changed here was tight against its duals, so
+    moving it by k breaks its bound by k."""
+
+    @staticmethod
+    def check(objective, changes):
+        build = construct_min_tdet if objective == "min-tdet" else construct_max_tropdet
+        arr = build(7, 6).matrix.array.copy()
+        for (i, j), step in changes.items():
+            arr[i, j] += step
+        cert = extremal_certificate(7, 6, objective)
+        return check_certificate(IntMatrix(6, 6, arr), cert, objective == "min-tdet")
+
+    @pytest.mark.parametrize(
+        "changes,cell",
+        [
+            ({(2, 3): 1}, (2, 3)),
+            ({(4, 5): 1, (3, 2): 2}, (3, 2)),  # the largest break
+            ({(4, 5): 1, (2, 4): 1}, (2, 4)),  # the first of two in row order
+        ],
+    )
+    def test_raised_entry_under_maximize(self, changes, cell):
+        with pytest.raises(CertificateError) as err:
+            self.check("min-tdet", changes)
+        assert str(err.value) == (
+            f"dual bound fails at cell {cell}: need u_i + v_j >= a_ij"
+        )
+
+    @pytest.mark.parametrize(
+        "changes,cell",
+        [({(1, 3): -1}, (1, 3)), ({(4, 1): -1, (2, 0): -1}, (2, 0))],
+    )
+    def test_lowered_entry_under_minimize(self, changes, cell):
+        with pytest.raises(CertificateError) as err:
+            self.check("max-tropdet", changes)
+        assert str(err.value) == (
+            f"dual bound fails at cell {cell}: need u_i + v_j <= a_ij"
+        )
+
+    @pytest.mark.parametrize(
+        "objective,changes,cell",
+        [
+            ("min-tdet", {(3, 1): -1, (1, 3): -1}, (1, 3)),
+            ("max-tropdet", {(0, 5): 1}, (0, 5)),
+        ],
+    )
+    def test_loose_witness_cell(self, objective, changes, cell):
+        with pytest.raises(CertificateError) as err:
+            self.check(objective, changes)
+        assert str(err.value) == f"witness cell {cell} is not tight"

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import CIRCULANT_4_6, M6_SUM7, RUBIK_6X6
 from reference import transversal_sums
@@ -16,6 +20,7 @@ from tropdet import (
     tropdet,
     upper_bound_U,
 )
+from tropdet.construct import _band
 
 
 def is_hard(m, n):
@@ -64,6 +69,73 @@ class TestPlan:
                 )
                 assert max(plan.row_targets) - min(plan.row_targets) <= 1
                 assert max(plan.col_targets) - min(plan.col_targets) <= 1
+
+
+class TestBand:
+    # The constructions' two forms: dj = 1 (di = -1 or -r), and di = 1 with
+    # dj = -r, built transposed.
+    @given(
+        rows=st.integers(0, 12),
+        cols=st.integers(0, 12),
+        step=st.integers(-9, 9),
+        transposed=st.booleans(),
+        p=st.integers(1, 8),
+        band=st.integers(-2, 10),
+    )
+    @example(rows=9, cols=3, step=-1, transposed=False, p=4, band=2)  # rows > p
+    @example(rows=3, cols=9, step=-3, transposed=True, p=4, band=1)  # cols > p
+    @example(rows=5, cols=5, step=-1, transposed=False, p=5, band=0)
+    @example(rows=5, cols=5, step=-2, transposed=True, p=5, band=-1)
+    @example(rows=5, cols=6, step=-1, transposed=False, p=5, band=5)
+    @example(rows=6, cols=5, step=-2, transposed=True, p=5, band=7)
+    @example(rows=4, cols=7, step=-1, transposed=False, p=1, band=1)
+    @example(rows=7, cols=4, step=-3, transposed=True, p=1, band=0)
+    @example(rows=0, cols=5, step=-1, transposed=False, p=3, band=1)
+    @example(rows=5, cols=0, step=-1, transposed=False, p=3, band=1)
+    @example(rows=0, cols=5, step=-2, transposed=True, p=3, band=1)
+    @example(rows=5, cols=0, step=-2, transposed=True, p=3, band=1)
+    def test_matches_modulus(self, rows, cols, step, transposed, p, band):
+        di, dj = (1, step) if transposed else (step, 1)
+        i = np.arange(rows)[:, None]
+        j = np.arange(cols)[None, :]
+        got = _band(rows, cols, di, dj, p, band)
+        assert got.shape == (rows, cols) and got.dtype == bool
+        assert np.array_equal(got, (dj * j + di * i) % p < band)
+
+
+# One m per case tag at n = 1120, with the objective whose bound names it.
+PEAK_N = 1120
+PEAK_CASES = [
+    (3360, "min-tdet", "R_ZERO"),
+    (373, "min-tdet", "Q_ZERO"),
+    (4060, "min-tdet", "HALF_UP"),
+    (1520, "min-tdet", "SHARP2"),
+    (2245, "min-tdet", "HARD_CASE1"),
+    (2277, "min-tdet", "HARD_CASE2"),
+    (5617, "max-tropdet", "LOW_R"),
+    (6500, "max-tropdet", "HIGH_R"),
+]
+
+
+@pytest.mark.parametrize("m,objective,tag", PEAK_CASES, ids=[c[2] for c in PEAK_CASES])
+def test_peak_memory_stays_near_body(m, objective, tag):
+    # A construction is built, validated and kept in its one n x n int64
+    # body, with no second array of that size; a bool band mask is an eighth.
+    build, bound = (
+        (construct_min_tdet, lower_bound_L)
+        if objective == "min-tdet"
+        else (construct_max_tropdet, upper_bound_U)
+    )
+    assert bound(m, PEAK_N).case_tag.value == tag
+    tracemalloc.start()
+    try:
+        ds = build(m, PEAK_N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    body = ds.matrix.array.nbytes
+    assert body == 8 * PEAK_N**2
+    assert peak <= 1.25 * body, peak / body
 
 
 class TestMinTdet:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,30 @@ PINNED_COUNTS = {
 @pytest.mark.parametrize("m,n", sorted(PINNED_COUNTS))
 def test_pinned_counts(m, n):
     assert count_D(m, n, budget=10**10) == PINNED_COUNTS[(m, n)]
+
+
+class TestRowPool:
+    @pytest.mark.parametrize(
+        "total,parts", [(0, 1), (5, 1), (0, 4), (3, 3), (7, 2), (4, 5), (2, 6), (50, 3)]
+    )
+    def test_equals_reference(self, total, parts):
+        # (50, 3) has 1326 rows, more than one build pass
+        pool = _compositions(total, parts)
+        assert pool.dtype == np.int64 and not pool.flags.writeable
+        assert pool.tolist() == [list(row) for row in compositions(total, parts)]
+
+    @pytest.mark.parametrize("total,parts", [(200, 3), (14, 6), (60, 5)])
+    def test_peak_memory_stays_near_pool(self, total, parts):
+        # The pool is filled in place: no second array of its size.
+        _compositions.cache_clear()
+        tracemalloc.start()
+        try:
+            pool = _compositions(total, parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _compositions.cache_clear()
+        assert peak <= 2 * pool.nbytes, (peak, pool.nbytes)
 
 
 class TestBudget:

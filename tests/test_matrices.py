@@ -382,8 +382,29 @@ class TestIntMatrix:
             IntMatrix(2, 2, (1, 2, 3))
 
     def test_negative_entry(self):
-        with pytest.raises(MatrixParseError):
+        with pytest.raises(MatrixParseError, match="^entry 1 is negative: -1$"):
             IntMatrix(1, 2, (1, -1))
+
+    def test_public_constructor_copies(self):
+        # The caller's array stays its own: writable, and not seen through.
+        arr = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        a = IntMatrix(2, 2, arr)
+        assert arr.flags.writeable
+        arr[0, 0] = 7
+        assert a.array.tolist() == [[1, 2], [3, 4]]
+        assert not np.shares_memory(a.array, arr)
+
+    def test_adopt_keeps_a_fresh_array_after_the_same_checks(self):
+        arr = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        a = IntMatrix._adopt(arr)
+        assert np.shares_memory(a.array, arr) and not a.array.flags.writeable
+        assert a == mat([[1, 2], [3, 4]])
+        with pytest.raises(MatrixParseError, match="^entry 3 is negative: -2$"):
+            IntMatrix._adopt(np.array([[1, 2], [0, -2]]))
+        with pytest.raises(DomainError, match="2\\*\\*63 - 1"):
+            IntMatrix._adopt(np.array([[2**62, 0], [0, 2**62]]))
+        with pytest.raises(MatrixParseError, match="integers"):
+            IntMatrix._adopt(np.ones((2, 2)))
 
     @pytest.mark.parametrize(
         "rows,cols,entries",
