@@ -256,16 +256,24 @@ def _parse_canonical(body: str) -> np.ndarray | None:
     """Entries of canonical text (single spaces, LF rows, decimals without
     leading zeros up to 2**63 - 1), or None for any other text.
 
-    All checks run on the encoded bytes.  Text with a separator at every
-    odd offset holds one digit per entry and is read with strides; other
+    All checks run on the encoded bytes.  One-digit text is tried first,
+    by its shape alone: the first LF fixes cols, and the text must be
+    rows x cols pairs of a digit and a space, LF at each row's end.  Other
     text is converted chunk by chunk, in uint64 Horner passes over the
     token ends, so that 19-digit tokens past 2**63 - 1 turn negative.
     """
-    # Non-ASCII turns into "?", which the charset check rejects.
+    # Non-ASCII turns into "?", which no check below lets through.
     b = body.encode("ascii", "replace") + b"\n"  # each token ends in a separator
+    u = np.frombuffer(b, dtype=np.uint8)
+    cols = (b.index(b"\n") + 1) // 2
+    if cols and u.size % (2 * cols) == 0:
+        grid = u.reshape(-1, cols, 2)  # one digit, then its separator
+        if (grid[:, :-1, 1] == ord(" ")).all() and (grid[:, -1, 1] == ord("\n")).all():
+            digits = grid[..., 0] - ord("0")  # uint8: bytes below "0" wrap past 9
+            if (digits <= 9).all():
+                return digits
     if b.translate(None, b"0123456789 \n"):
         return None
-    u = np.frombuffer(b, dtype=np.uint8)
     sep = u < ord("0")
     if sep[0] or (sep[1:] & sep[:-1]).any():
         return None
@@ -274,9 +282,6 @@ def _parse_canonical(body: str) -> np.ndarray | None:
     # The shape needs this many spaces, so the row-end LFs are the only LFs.
     if b.count(b" ") != rows * (cols - 1):
         return None
-    if sep[1::2].all():
-        grid = u.reshape(rows, cols, 2)  # one digit, then its separator
-        return grid[..., 0] - ord("0") if (grid[:, -1, 1] == ord("\n")).all() else None
     out = np.zeros(rows * cols, dtype=np.int64)
     lo = done = 0
     while lo < u.size:

@@ -23,10 +23,14 @@ from tropdet import (
     has_transversal_above,
     lower_bound_L,
     random_ds,
+    serialize,
     tdet,
     tropdet,
     upper_bound_U,
 )
+from tropdet import assignment
+from tropdet.assignment import EXTREME_N
+from tropdet.blocks import _match_rows
 
 
 def value_along(a, perm):
@@ -235,6 +239,83 @@ def test_construct_leaves_scipy_unloaded(m, n, objective, tag):
     assert out.stdout.splitlines()[-1] == "False False"
 
 
+def test_tropdet_file_leaves_scipy_unloaded(tmp_path):
+    # With 2m < n, U(m, n) = qn = 0: the zero cells of every member hold a
+    # transversal, which the extreme-cell step finds without the float solve.
+    path = tmp_path / "member.txt"
+    path.write_text(serialize(random_ds(60, EXTREME_N + 72, seed=4)) + "\n")
+    src = str(Path(sys.modules["tropdet"].__file__).resolve().parents[1])
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, tropdet.cli\n"
+        "assert tropdet.cli.main(['tropdet', sys.argv[1]]) == 0\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env={**os.environ, "PYTHONPATH": env_path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = out.stdout.splitlines()
+    assert lines[0] == "tropdet = 0"
+    assert lines[-1] == "False"
+
+
+class TestExtremeCells:
+    """From n = EXTREME_N on, a transversal of cells equal to the max (tdet)
+    or the min (tropdet) answers without the float solve.  Values are checked
+    against scipy's LSA on a float copy made here."""
+
+    @staticmethod
+    def lsa_value(a, maximize):
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(a.array.astype(float), maximize=maximize)
+        return int(a.array[rows, cols].sum())
+
+    @staticmethod
+    def build(n, maximize, case):
+        rng = np.random.default_rng(n)
+        extreme = 20 if maximize else 0
+        arr = rng.integers(1, 20, size=(n, n))
+        arr[rng.random((n, n)) < 0.03] = extreme
+        arr[np.arange(n), rng.permutation(n)] = extreme
+        if case == "row_without_one":
+            arr[n // 2, arr[n // 2] == extreme] = 10
+        elif case == "column_without_one":
+            arr[arr[:, n // 2] == extreme, n // 2] = 10
+        elif case == "hall_violation":
+            # Rows 0 and 1 hold extreme cells in column 0 only, so no
+            # transversal of them exists; column 1 holds one in row 2.
+            arr[arr == extreme] = 10
+            arr[np.arange(2, n), np.arange(2, n)] = extreme
+            arr[[0, 1, 2], [0, 0, 1]] = extreme
+        return IntMatrix(n, n, arr), extreme
+
+    @pytest.mark.parametrize(
+        "case", ["transversal", "row_without_one", "column_without_one", "hall_violation"]
+    )
+    @pytest.mark.parametrize("maximize", [True, False], ids=["tdet", "tropdet"])
+    @pytest.mark.parametrize("n", [EXTREME_N - 1, EXTREME_N])
+    def test_against_float_lsa(self, monkeypatch, n, maximize, case):
+        a, extreme = self.build(n, maximize, case)
+        calls = []
+
+        def spy(mask):
+            calls.append(mask)
+            return _match_rows(mask)
+
+        monkeypatch.setattr(assignment, "_match_rows", spy)
+        got = (tdet if maximize else tropdet)(a)
+        assert sorted(got.perm) == list(range(n))
+        assert value_along(a, got.perm) == got.value == self.lsa_value(a, maximize)
+        assert (got.value == n * extreme) == (case == "transversal")
+        tried = n >= EXTREME_N and case in ("transversal", "hall_violation")
+        assert len(calls) == tried
+
+
 class TestFloatGuard:
     """The float64 solve stays exact near 2**53: entries are shifted by their
     minimum in int64 first, and a range too wide even then is refused."""
@@ -423,3 +504,21 @@ class TestCertificateMessages:
         with pytest.raises(CertificateError) as err:
             self.check(objective, changes)
         assert str(err.value) == f"witness cell {cell} is not tight"
+
+    # From n = 257 on, the bound is checked in more than one block of rows:
+    # a break in the last row lies in the last block.
+    @pytest.mark.parametrize("m,objective", [(2277, "min-tdet"), (5617, "max-tropdet")])
+    def test_break_in_the_last_row_block(self, m, objective):
+        n, maximize = 1120, objective == "min-tdet"
+        build = construct_min_tdet if maximize else construct_max_tropdet
+        arr = build(m, n).matrix.array.copy()
+        cert = extremal_certificate(m, n, objective)
+        i = n - 1
+        j = (cert.perm[i] + 1) % n
+        arr[i, j] = cert.u[i] + cert.v[j] + (1 if maximize else -1)
+        with pytest.raises(CertificateError) as err:
+            check_certificate(IntMatrix(n, n, arr), cert, maximize)
+        sense = ">=" if maximize else "<="
+        assert str(err.value) == (
+            f"dual bound fails at cell ({i}, {j}): need u_i + v_j {sense} a_ij"
+        )

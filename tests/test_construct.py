@@ -138,6 +138,23 @@ def test_peak_memory_stays_near_body(m, objective, tag):
     assert peak <= 1.25 * body, peak / body
 
 
+@pytest.mark.parametrize("m,objective,tag", PEAK_CASES, ids=[c[2] for c in PEAK_CASES])
+def test_certificate_check_stays_chunked(m, objective, tag):
+    # The dual bound is checked a block of rows at a time: no temporary of
+    # the body's size, only on failure the whole slack.
+    maximize = objective == "min-tdet"
+    build = construct_min_tdet if maximize else construct_max_tropdet
+    a = build(m, PEAK_N).matrix
+    cert = extremal_certificate(m, PEAK_N, objective)
+    tracemalloc.start()
+    try:
+        check_certificate(a, cert, maximize)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.array.nbytes / 8, peak / a.array.nbytes
+
+
 class TestMinTdet:
     def test_reproduces_circulant(self):
         ds = construct_min_tdet(4, 6)

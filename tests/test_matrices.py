@@ -277,6 +277,52 @@ class TestCodec:
             "MatrixShapeError", f"row {row} has 299 entries, expected 300"
         )
 
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 1), (1, 7), (5, 6)])
+    def test_one_digit_shapes(self, rows, cols):
+        a = IntMatrix(rows, cols, np.arange(rows * cols) % 10)
+        text = serialize(a)
+        assert _parse_canonical(text).tolist() == a.array.tolist()
+        assert parse_matrix(text + "\n") == a
+
+    # One byte changed in each slot class of one-digit text: the digit slots,
+    # the spaces and the row-end LFs.  "/" and ":" sit just outside "0"-"9";
+    # NBSP splits tokens and U+2028 splits lines in the token path, and CR
+    # does both, so those give a matrix there.
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 1), (1, 7), (5, 6)])
+    def test_one_byte_changes_match_token_path(self, rows, cols):
+        text = serialize(IntMatrix(rows, cols, (np.arange(rows * cols) * 7 + 3) % 10))
+
+        def put(i, c):
+            return text[:i] + c + text[i + 1 :]
+
+        end = len(text) - 1
+        changed = {
+            "slash in a digit slot": put(end, "/"),
+            "colon in a digit slot": put(end, ":"),
+            "letter in a digit slot": put(0, "x"),
+            "non-ASCII digit": put(0, "\u0663"),
+            "CR after the last digit": text + "\r",
+            "two-digit last token": put(end, "1" + text[end]),
+            "leading zero in the last token": put(end, "0" + text[end]),
+        }
+        space, lf = text.rfind(" "), text.find("\n")
+        if space > 0:
+            changed["LF for a space"] = put(space, "\n")
+            changed["CR for a space"] = put(space, "\r")
+            changed["NBSP for a space"] = put(space, "\u00a0")
+            changed["short last row"] = text[:space]
+        if lf > 0:
+            changed["space for an LF"] = put(lf, " ")
+            changed["CR for an LF"] = put(lf, "\r")
+            changed["CRLF for an LF"] = put(lf, "\r\n")
+            changed["U+2028 for an LF"] = put(lf, "\u2028")
+        if lf > 1:  # the row's last space and its LF change places
+            changed["space and LF swapped"] = put(lf - 2, "\n")[: lf] + " " + text[lf + 1 :]
+        for name, variant in changed.items():
+            assert variant != text, name
+            got = outcome(parse_matrix, variant)
+            assert got == outcome(reference_parse, variant), name
+
     def test_peak_memory_stays_chunked(self):
         # One pass may hold the text, the int64 result and chunk-sized
         # temporaries, but no int64 array the size of the matrix beyond it.
