@@ -5,11 +5,11 @@ column (the assignment problem on the entry matrix).  Both return a witness
 permutation alongside the value; the value is the contract, the witness is
 whichever optimum the solver lands on.
 
-From n = EXTREME_N on, the cells equal to the max (tdet) or min (tropdet)
-come first: every transversal sum lies between n * min and n * max, so a
-transversal of them is optimal, and exact without floats or scipy.  Against
-LSA on members, that try was slower below n = 96 and 1.4-6 times faster from
-n = 128 on; a failed try cost 2-5 %.  Other inputs go to scipy's LSA.
+From n = EXTREME_N on, tropdet first tries the cells equal to the min:
+every transversal sum is at least n * min, so a transversal of them is
+optimal, exact without floats or scipy.  Against LSA on members, the try
+was slower below n = 96 and 1.4-6 times faster from n = 128.  tdet skips
+it (the max cells of members miss most rows); other input goes to LSA.
 
 check_certificate proves such a value without solving: duals u, v that
 bound every cell (u_i + v_j >= a_ij when maximizing, <= when minimizing)
@@ -39,7 +39,7 @@ __all__ = [
 
 # float64 holds every integer below 2**53 exactly; the solve runs in float64.
 FLOAT_EXACT = 2**53
-EXTREME_N = 128  # the least n whose extreme cells _solve tries first
+EXTREME_N = 128  # the least n whose min cells tropdet tries first
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,13 @@ def _solve(a: IntMatrix, maximize: bool) -> Transversal:
                 f"entry range {hi - lo} with n = {n} is past the "
                 f"exact float64 solve: need n * (max - min) < 2**53"
             )
-    if n >= EXTREME_N:
-        extreme = hi if maximize else int(arr.min())
-        mask = arr == extreme
+    if n >= EXTREME_N and not maximize:
+        lo = int(arr.min())
+        mask = arr == lo
         if mask.any(axis=1).all() and mask.any(axis=0).all():
             match = _match_rows(mask)[0]
             if min(match) >= 0:
-                return Transversal(perm=tuple(match), value=n * extreme)
+                return Transversal(perm=tuple(match), value=n * lo)
     # scipy.optimize is most of the package's import time and only the
     # float solve needs it.
     from scipy.optimize import linear_sum_assignment
@@ -132,9 +132,9 @@ def check_certificate(
     # cell (checked by column on a - u, in blocks of rows; only a failure
     # builds the whole slack, to name its cell) and 0 on the witness cells.
     best, step = (np.maximum if maximize else np.minimum), max(1, _CHUNK // n)
-    blocks = (best.reduce(arr[i : i + step] - u[i : i + step, None]) for i in range(0, n, step))
-    reach = reduce(best, blocks)
-    if (reach - v if maximize else v - reach).max() > 0:
+    blocks = (arr[i : i + step] - u[i : i + step, None] for i in range(0, n, step))
+    col_best = reduce(best, map(best.reduce, blocks))
+    if (col_best - v if maximize else v - col_best).max() > 0:
         shifted = arr - u[:, None]
         slack = shifted - v if maximize else v - shifted
         i, j = np.unravel_index(slack.argmax(), slack.shape)

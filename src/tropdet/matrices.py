@@ -265,9 +265,10 @@ def _parse_canonical(body: str) -> np.ndarray | None:
     # Non-ASCII turns into "?", which no check below lets through.
     b = body.encode("ascii", "replace") + b"\n"  # each token ends in a separator
     u = np.frombuffer(b, dtype=np.uint8)
-    cols = (b.index(b"\n") + 1) // 2
-    if cols and u.size % (2 * cols) == 0:
-        grid = u.reshape(-1, cols, 2)  # one digit, then its separator
+    first = b.index(b"\n") + 1  # 2 * cols, if the text is one-digit
+    # The first row's separators turn most other text away before the grid.
+    if u.size % first == 0 and b[1:first:2] == b" " * (first // 2 - 1) + b"\n":
+        grid = u.reshape(-1, first // 2, 2)  # one digit, then its separator
         if (grid[:, :-1, 1] == ord(" ")).all() and (grid[:, -1, 1] == ord("\n")).all():
             digits = grid[..., 0] - ord("0")  # uint8: bytes below "0" wrap past 9
             if (digits <= 9).all():

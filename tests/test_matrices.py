@@ -284,6 +284,13 @@ class TestCodec:
         assert _parse_canonical(text).tolist() == a.array.tolist()
         assert parse_matrix(text + "\n") == a
 
+    # Uniform wider entries fill whole (rows, cols, 2) grids too; the first
+    # row's separators send them to the general path.
+    @pytest.mark.parametrize("low,cols", [(10, 4), (100, 3), (100, 5)])
+    def test_wide_text_of_one_digit_size(self, low, cols):
+        a = IntMatrix(6, cols, low + np.arange(6 * cols) * 7 % (9 * low))
+        assert _parse_canonical(serialize(a)).tolist() == a.array.tolist()
+
     # One byte changed in each slot class of one-digit text: the digit slots,
     # the spaces and the row-end LFs.  "/" and ":" sit just outside "0"-"9";
     # NBSP splits tokens and U+2028 splits lines in the token path, and CR
