@@ -23,7 +23,7 @@ from .matrices import IntMatrix
 __all__ = [
     "BlockDecomposition",
     "max_matching_above",
-    "has_transversal_above",  # called by bench/'s sweep and large_n ops
+    "has_transversal_above",  # called by bench/'s sweep ops
     "largest_low_block",
 ]
 

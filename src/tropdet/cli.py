@@ -57,15 +57,15 @@ _MAX_DIGITS = 1000
 
 
 def _int_at_least(low: int, text: str) -> int:
-    """text as an integer of at most _MAX_DIGITS digits, no smaller than low;
-    the one check on every integer the CLI reads, from argv and from the
-    environment."""
+    """text, ASCII decimal with an optional "-", as an integer of at most
+    _MAX_DIGITS digits, no smaller than low; the one check on every integer
+    the CLI reads, from argv and from the environment."""
     if sum(c.isdigit() for c in text) > _MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"must have at most {_MAX_DIGITS} digits")
-    try:
-        value = int(text)
-    except ValueError:
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    value = int(text)
     if value < low:
         raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value

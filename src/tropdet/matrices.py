@@ -9,8 +9,8 @@ sums everywhere.
 
 from __future__ import annotations
 
-import re
-from dataclasses import InitVar, dataclass, field
+import io
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -62,11 +62,12 @@ def _full(n: int, fill: int, top: int) -> np.ndarray:
     return np.full((n, n), fill, dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class IntMatrix:
     """Immutable matrix of non-negative integers held as one read-only int64
     array, ``array``.  Built as ``IntMatrix(rows, cols, entries)`` from any
-    row-major array-like of rows * cols integers.
+    row-major array-like of rows * cols integers, copied unless it is a
+    read-only int64 array that owns its data.
 
     Entries are capped so that max entry * max(rows, cols) <= 2**63 - 1,
     which keeps every line and transversal sum exact in int64.  Zero rows or
@@ -74,14 +75,9 @@ class IntMatrix:
     parsing, by contrast, never produces an empty matrix.
     """
 
-    # The init-only arguments share their names with the read-only
-    # properties below, which dataclass then lists as their defaults.
-    rows: InitVar[int]
-    cols: InitVar[int]
-    entries: InitVar[ArrayLike]
-    array: np.ndarray = field(init=False)
+    array: np.ndarray
 
-    def __post_init__(self, rows: int, cols: int, entries: ArrayLike, copy=True):
+    def __init__(self, rows: int, cols: int, entries: ArrayLike):
         if rows < 0 or cols < 0:
             raise MatrixShapeError(f"negative dimensions {rows}x{cols}")
         raw = np.asarray(entries)
@@ -101,16 +97,19 @@ class IntMatrix:
                 k = int(np.argmax(raw.ravel() < 0))
                 raise MatrixParseError(f"entry {k} is negative: {raw.flat[k]}")
             check_entry_limit(int(raw.max()), max(rows, cols))
-        array = raw.astype(np.int64, copy=copy)  # a private copy, but in _adopt
+        # A read-only array that owns its data changes only if its holder
+        # makes it writable again, so it is kept as it is, not copied.
+        kept = isinstance(entries, np.ndarray) and entries.flags.owndata
+        kept = kept and not entries.flags.writeable
+        array = raw.astype(np.int64, copy=not kept)
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
 
     @classmethod
     def _adopt(cls, array: np.ndarray) -> IntMatrix:
         """IntMatrix of a fresh 2-D array nothing else writes: checked, not copied."""
-        self = object.__new__(cls)
-        self.__post_init__(*array.shape, array, copy=False)
-        return self
+        array.flags.writeable = False
+        return cls(*array.shape, array)
 
     @property
     def rows(self) -> int:
@@ -201,10 +200,9 @@ def validate_ds(matrix: IntMatrix) -> DSMatrix:
 # Powers 10**1 .. 10**18: an int64 entry has one digit more than the
 # number of these it reaches.
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
-# Entries rendered or parsed per pass: each int64 temporary stays near 0.5 MB.
-# A parse chunk ends just past the first separator after 2 * _CHUNK bytes.
+# Entries rendered or certified per pass: each int64 temporary stays near
+# 0.5 MB.  A parse is left to numpy's reader, which sizes its own buffers.
 _CHUNK = 1 << 16
-_SEPARATOR = re.compile(b"[ \n]")
 
 
 def _render_rows(a: np.ndarray) -> str:
@@ -259,8 +257,11 @@ def _parse_canonical(body: str) -> np.ndarray | None:
     All checks run on the encoded bytes.  One-digit text is tried first,
     by its shape alone: the first LF fixes cols, and the text must be
     rows x cols pairs of a digit and a space, LF at each row's end.  Other
-    text is converted chunk by chunk, in uint64 Horner passes over the
-    token ends, so that 19-digit tokens past 2**63 - 1 turn negative.
+    text goes to numpy's reader once the two rules it does not enforce
+    hold: no separator first, and no 0 that starts a longer token.  The
+    reader refuses doubled, leading or trailing spaces, ragged rows and
+    tokens past 2**63 - 1; it skips blank lines, which the row count
+    catches.
     """
     # Non-ASCII turns into "?", which no check below lets through.
     b = body.encode("ascii", "replace") + b"\n"  # each token ends in a separator
@@ -275,35 +276,17 @@ def _parse_canonical(body: str) -> np.ndarray | None:
                 return digits
     if b.translate(None, b"0123456789 \n"):
         return None
-    sep = u < ord("0")
-    if sep[0] or (sep[1:] & sep[:-1]).any():
+    # The first-byte check also keeps whitespace-only text, on which the
+    # reader warns, away from it.
+    lead = (u[:-1] == ord("0")) & (u[1:] >= ord("0"))  # a 0 before a digit ...
+    lead[1:] &= u[:-2] < ord("0")  # ... that starts its token
+    if u[0] < ord("0") or lead.any():
         return None
-    rows = b.count(b"\n")
-    cols = b.count(b" ", 0, b.index(b"\n")) + 1
-    # The shape needs this many spaces, so the row-end LFs are the only LFs.
-    if b.count(b" ") != rows * (cols - 1):
+    try:
+        out = np.loadtxt(io.BytesIO(b), np.int64, delimiter=" ", ndmin=2, encoding="latin1")
+    except ValueError:
         return None
-    out = np.zeros(rows * cols, dtype=np.int64)
-    lo = done = 0
-    while lo < u.size:
-        found = _SEPARATOR.search(b, lo + 2 * _CHUNK)
-        hi = found.end() if found else u.size
-        c = u[lo:hi]
-        ends = np.flatnonzero(sep[lo:hi])
-        if (c[ends[(-done - 1) % cols :: cols]] != ord("\n")).any():
-            return None
-        widths = np.diff(ends, prepend=-1) - 1
-        wide = int(widths.max())
-        if wide > 19 or ((c[ends - widths] == ord("0")) & (widths > 1)).any():
-            return None
-        acc = out[done : done + ends.size].view(np.uint64)
-        for k in range(wide - 1, -1, -1):
-            digit = c[np.maximum(ends - 1 - k, 0)] - ord("0")
-            digit[widths <= k] = 0
-            acc *= 10
-            acc += digit
-        done, lo = done + ends.size, hi
-    return None if (out < 0).any() else out.reshape(rows, cols)
+    return out if len(out) == b.count(b"\n") else None
 
 
 def parse_matrix(text: str) -> IntMatrix:
@@ -313,7 +296,7 @@ def parse_matrix(text: str) -> IntMatrix:
     separated by whitespace.  LF and CRLF both work; trailing blank lines
     are ignored.  Anything else (empty input, ragged rows, negative or
     non-integer tokens, tokens past 2**63 - 1) raises.  Canonical text, as
-    ``serialize`` writes it, is checked and converted byte-wise by numpy;
+    ``serialize`` writes it, is checked byte-wise and converted by numpy;
     any other text goes token by token, and only that path words the
     errors.
     """

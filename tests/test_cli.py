@@ -1202,6 +1202,26 @@ GOLDEN = [
         "usage: tropdet bounds [-h] --m M --n N [--format {plain,structured}]\n"
         "tropdet bounds: error: argument --m: must be at least 1, got 0\n",
     ),
+    (
+        "bounds --m 1_0 --n 3",
+        2,
+        "",
+        "usage: tropdet bounds [-h] --m M --n N [--format {plain,structured}]\n"
+        "tropdet bounds: error: argument --m: must be an integer, got '1_0'\n",
+    ),
+    (
+        "bounds --m 10 --n \u0663",
+        2,
+        "",
+        "usage: tropdet bounds [-h] --m M --n N [--format {plain,structured}]\n"
+        "tropdet bounds: error: argument --n: must be an integer, got '\u0663'\n",
+    ),
+    (
+        "TROPDET_MAX_VISITS=+7 enumerate --m 2 --n 2 --stat count",
+        1,
+        "",
+        "error: TROPDET_MAX_VISITS must be an integer, got '+7'\n",
+    ),
 ]
 
 

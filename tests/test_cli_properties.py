@@ -45,7 +45,7 @@ DIGITS = cli._MAX_DIGITS
 EDGES = [10**4, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1, 10**18, -1, -(2**63)]
 # Around the digit bound, and the longest integer the interpreter prints.
 EDGES += [10 ** (DIGITS - 1), 10**DIGITS - 1, 10**DIGITS, 10**4300 - 1]
-NOT_INTEGERS = ["1.5", "two", "", "1e3", "0x10", "--m"]
+NOT_INTEGERS = ["1.5", "two", "", "1e3", "0x10", "--m", "1_0", "\u0663", " +7"]
 # The largest in-range value drawn per flag; enumerate has its own.
 CHEAP = {"--m": 64, "--n": 64, "--colors": 64, "--stickers-per-face": 64}
 CHEAP_ENUMERATE = {"--m": 6, "--n": 6}

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,7 @@ PARSE_TABLE = [
     ("leading_space", " 1 0\n 0 1", False, ("ok", I2)),
     ("trailing_space", "1 0 \n0 1 ", False, ("ok", I2)),
     ("leading_zeros", "01 00\n00 01", False, ("ok", I2)),
+    ("leading_zero_first_token", "01 2\n3 4", False, ("ok", [[1, 2], [3, 4]])),
     ("trailing_blank_lines", "1 0\n0 1\n\n  \n", False, ("ok", I2)),
     ("blank_middle_line", "1 0\n\n0 1", False,
      ("MatrixParseError", "line 2 is blank")),
@@ -123,10 +125,10 @@ class TestPlainFormat:
         assert type(err.value).__name__ == kind
         assert str(err.value) == expected
 
-    # 2**63 and 10**19 have 19 and 20 digits: the fast path's uint64 pass
-    # turns them negative.  2**64, 2**64 + 1 and 2 * 10**19 + 1 wrap past
-    # 2**64 there, to 0, 1 and 1553255926290448385, so only its 19-digit
-    # width limit keeps them from being read as those.
+    # 2**63 and 10**19 have 19 and 20 digits; 2**64, 2**64 + 1 and
+    # 2 * 10**19 + 1 wrap past 2**64 to 0, 1 and 1553255926290448385, so a
+    # reader that kept only the low 64 bits would take them for those.
+    # numpy's reader refuses every token past 2**63 - 1 with a ValueError.
     @pytest.mark.parametrize(
         "token", [2**63, 10**19, 2**64, 2**64 + 1, 2 * 10**19 + 1], ids=str
     )
@@ -265,7 +267,8 @@ class TestCodec:
     @pytest.mark.parametrize("row", [150, 299])
     def test_moved_row_end_is_ragged(self, entries, row):
         # Swapping the LF after `row` with the space before it keeps every
-        # count of spaces and LFs; only the LF positions show the ragged row.
+        # count of spaces and LFs; only the row lengths, which numpy's reader
+        # compares, show the ragged row.
         cells = (entries * 90000)[: 300 * 300]
         lines = [" ".join(map(str, cells[i : i + 300])) for i in range(0, len(cells), 300)]
         assert _parse_canonical("\n".join(lines)).ravel().tolist() == cells
@@ -437,6 +440,20 @@ class TestIntMatrix:
     def test_negative_entry(self):
         with pytest.raises(MatrixParseError, match="^entry 1 is negative: -1$"):
             IntMatrix(1, 2, (1, -1))
+
+    def test_signature_has_no_defaults(self):
+        params = inspect.signature(IntMatrix).parameters
+        assert list(params) == ["rows", "cols", "entries"]
+        assert all(p.default is inspect.Parameter.empty for p in params.values())
+        with pytest.raises(TypeError, match="entries"):
+            IntMatrix(2, 2)
+
+    def test_read_only_view_is_copied(self):
+        # A read-only view still changes with its writable base.
+        arr = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        view = arr.view()
+        view.flags.writeable = False
+        assert not np.shares_memory(IntMatrix(2, 2, view).array, arr)
 
     def test_public_constructor_copies(self):
         # The caller's array stays its own: writable, and not seen through.
