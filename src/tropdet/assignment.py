@@ -26,8 +26,8 @@ from functools import reduce
 import numpy as np
 
 from .blocks import _match_rows
-from .errors import CertificateError, DomainError, MatrixShapeError
-from .matrices import _CHUNK, IntMatrix
+from .errors import CertificateError, DomainError
+from .matrices import _CHUNK, IntMatrix, _square
 
 __all__ = [
     "Certificate",
@@ -50,16 +50,8 @@ class Transversal:
     value: int
 
 
-def _require_square(a: IntMatrix) -> int:
-    if a.rows != a.cols:
-        raise MatrixShapeError(f"not square: {a.rows}x{a.cols}")
-    if a.rows < 1:
-        raise MatrixShapeError("empty matrix has no transversal")
-    return a.rows
-
-
 def _solve(a: IntMatrix, maximize: bool) -> Transversal:
-    n = _require_square(a)
+    n = _square(a)
     arr = a.array
     hi = int(arr.max())
     if n * hi >= FLOAT_EXACT:
@@ -115,7 +107,7 @@ def check_certificate(
     every witness cell is tight, and that sum(u) + sum(v) equals the
     witness sum.  Any failure raises CertificateError.
     """
-    n = _require_square(a)
+    n = _square(a)
     arr = a.array
     if not (len(cert.u) == len(cert.v) == len(cert.perm) == n):
         raise CertificateError(f"certificate does not have {n} rows and columns")

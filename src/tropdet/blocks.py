@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MatrixShapeError
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _square
 
 __all__ = [
     "BlockDecomposition",
@@ -162,10 +161,9 @@ def largest_low_block(a: IntMatrix, t: int) -> BlockDecomposition:
     yields the unique maximal block with fewest rows, the same for every
     maximum matching.  |R| + |S| always equals 2n - matching size.
     """
-    if a.rows != a.cols:
-        raise MatrixShapeError(f"not square: {a.rows}x{a.cols}")
+    n = _square(a)
     _, rows, cols = _match_rows(a.array > t)
     return BlockDecomposition(
         row_set=tuple(sorted(rows)),
-        col_set=tuple(sorted(set(range(a.cols)).difference(cols))),
+        col_set=tuple(sorted(set(range(n)).difference(cols))),
     )

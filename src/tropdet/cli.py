@@ -235,7 +235,7 @@ def _cmd_enumerate(args) -> _Result:
     }
     lines = [
         f"{label} over D({args.m},{args.n}) = {stats.extremum}",
-        f"matrices visited: {stats.count}",
+        f"|D({args.m},{args.n})| = {stats.count}",
         "witness:",
         stats.witness,
     ]

@@ -254,6 +254,12 @@ def _brute_extreme(m: int, n: int, budget: int, minimize: bool) -> EnumStats:
     lex-smaller row-sorted member with the same key, against the choice of
     w.  So every prefix of w passes, and the argument above still holds.
     """
+    _check_budget(m, n, budget)  # its refusals come first, and it bounds n for 2**n
+    if n * 2**n > _MAX_CELLS:
+        raise DomainError(
+            f"the search's column-subset tables need n * 2**n <= {_MAX_CELLS}, "
+            f"got n = {n}"
+        )
     count = count_D(m, n, budget)
     pool = _row_pool(m, n)
     sign = 1 if minimize else -1

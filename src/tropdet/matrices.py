@@ -49,7 +49,9 @@ def check_entry_limit(max_entry: int, side: int) -> None:
 
 # The most cells of a structure built from (m, n) alone: an n x n array peaks
 # near 17 bytes a cell, so about 0.4 GB at this limit; count_D's row pool is
-# int64, 8 bytes a cell, and its build peaks near 4 times that: 0.8 GB.
+# int64, 8 bytes a cell, and its build peaks near 4 times that: 0.8 GB.  The
+# search's column-subset tables hold n * 2**n cells and peak near 10 bytes a
+# cell: 0.2 GB at n = 20, the most this limit allows them.
 _MAX_CELLS = 25_000_000
 
 
@@ -64,52 +66,53 @@ def _full(n: int, fill: int, top: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, init=False)
 class IntMatrix:
-    """Immutable matrix of non-negative integers held as one read-only int64
-    array, ``array``.  Built as ``IntMatrix(rows, cols, entries)`` from any
-    row-major array-like of rows * cols integers, copied unless it is a
-    read-only int64 array that owns its data.
+    """Immutable matrix of non-negative integers, at least 1 x 1, held as
+    ``array``: an int64 view of an owner that is frozen and kept by no one
+    else, so the array cannot be made writable again.  Built as
+    ``IntMatrix(rows, cols, entries)`` from any row-major array-like of
+    rows * cols integers, which is always copied.
 
     Entries are capped so that max entry * max(rows, cols) <= 2**63 - 1,
-    which keeps every line and transversal sum exact in int64.  Zero rows or
-    columns are legal (blocks cut out of a larger matrix may be empty);
-    parsing, by contrast, never produces an empty matrix.
+    which keeps every line and transversal sum exact in int64.
     """
 
     array: np.ndarray
 
     def __init__(self, rows: int, cols: int, entries: ArrayLike):
-        if rows < 0 or cols < 0:
-            raise MatrixShapeError(f"negative dimensions {rows}x{cols}")
-        raw = np.asarray(entries)
+        self._freeze(rows, cols, np.asarray(entries), copy=True)
+
+    @classmethod
+    def _adopt(cls, array: np.ndarray) -> IntMatrix:
+        """IntMatrix of a fresh 2-D array nothing else keeps, after the same
+        checks; not copied if it is an int64 owner."""
+        self = cls.__new__(cls)
+        self._freeze(*array.shape, array, copy=array.base is not None)
+        return self
+
+    def _freeze(self, rows: int, cols: int, raw: np.ndarray, copy: bool) -> None:
+        """Check raw as a rows x cols matrix, then keep a view of its int64
+        owner, frozen: numpy may unfreeze an owner, but no view of a frozen one."""
+        if rows < 1 or cols < 1:
+            raise MatrixShapeError(f"a matrix needs at least 1 x 1, got {rows}x{cols}")
         if raw.size != rows * cols:
             raise MatrixShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, "
                 f"got {raw.size}"
             )
-        raw = raw.reshape(rows, cols)
-        if raw.size:
-            if raw.dtype.kind not in "iu":
-                raise MatrixParseError(
-                    "entries must be integers in [0, 2**63 - 1], "
-                    f"got {raw.dtype} values"
-                )
-            if raw.min() < 0:
-                k = int(np.argmax(raw.ravel() < 0))
-                raise MatrixParseError(f"entry {k} is negative: {raw.flat[k]}")
-            check_entry_limit(int(raw.max()), max(rows, cols))
-        # A read-only array that owns its data changes only if its holder
-        # makes it writable again, so it is kept as it is, not copied.
-        kept = isinstance(entries, np.ndarray) and entries.flags.owndata
-        kept = kept and not entries.flags.writeable
-        array = raw.astype(np.int64, copy=not kept)
-        array.flags.writeable = False
-        object.__setattr__(self, "array", array)
-
-    @classmethod
-    def _adopt(cls, array: np.ndarray) -> IntMatrix:
-        """IntMatrix of a fresh 2-D array nothing else writes: checked, not copied."""
-        array.flags.writeable = False
-        return cls(*array.shape, array)
+        if raw.shape != (rows, cols):  # never for _adopt: its owner stays raw
+            raw = raw.reshape(rows, cols)
+        if raw.dtype.kind not in "iu":
+            raise MatrixParseError(
+                "entries must be integers in [0, 2**63 - 1], "
+                f"got {raw.dtype} values"
+            )
+        if raw.min() < 0:
+            k = int(np.argmax(raw.ravel() < 0))
+            raise MatrixParseError(f"entry {k} is negative: {raw.flat[k]}")
+        check_entry_limit(int(raw.max()), max(rows, cols))
+        owner = raw.astype(np.int64, copy=copy)
+        owner.flags.writeable = False
+        object.__setattr__(self, "array", owner.view())
 
     @property
     def rows(self) -> int:
@@ -167,13 +170,15 @@ def split(m: int, n: int) -> SplitParams:
     return SplitParams(m=m, n=n, q=q, r=r)
 
 
+def _square(a: IntMatrix) -> int:
+    """n of an n x n matrix; any other shape is refused."""
+    if a.rows != a.cols:
+        raise MatrixShapeError(f"not square: {a.rows}x{a.cols}")
+    return a.rows
+
+
 def _check_membership(matrix: IntMatrix, m: int) -> None:
-    if matrix.rows != matrix.cols:
-        raise MatrixShapeError(
-            f"not square: {matrix.rows}x{matrix.cols}"
-        )
-    if matrix.rows < 1:
-        raise MatrixShapeError("empty matrix cannot be doubly stochastic")
+    _square(matrix)
     # Rows are compared against row 0, columns against column 0.  Equal rows
     # and equal columns force the two reference sums to agree (both equal the
     # total divided by n), so only the cross-check against m remains.
@@ -244,8 +249,6 @@ def _render_rows(a: np.ndarray) -> str:
 def _render(a: np.ndarray) -> str:
     """Plain text of an int64 matrix, rendered a chunk of rows at a time."""
     rows, cols = a.shape
-    if a.size == 0:
-        return "\n" * max(rows - 1, 0)
     step = max(1, _CHUNK // cols)
     return "\n".join(_render_rows(a[i : i + step]) for i in range(0, rows, step))
 

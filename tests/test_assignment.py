@@ -154,10 +154,10 @@ class TestTransversalAbove:
         tall = mat([[1], [1], [1]])
         assert has_transversal_above(tall, 0)[0]
 
-    def test_empty_matrix_trivially_true(self):
-        empty = mat(mat([[1, 2], [3, 4]]).array[np.ix_([], [0, 1])])
-        found, pairs = has_transversal_above(empty, 0)
-        assert found and pairs == ()
+    def test_empty_matrix_refused(self):
+        # No matrix is empty, so no empty block reaches the matcher.
+        with pytest.raises(MatrixShapeError, match="at least 1 x 1, got 0x2"):
+            mat(mat([[1, 2], [3, 4]]).array[np.ix_([], [0, 1])])
 
     def test_witness_entries_exceed_threshold(self):
         rng = np.random.default_rng(3)

@@ -245,7 +245,7 @@ class TestEnumerate:
         )
         assert code == 0
         assert "min tdet over D(2,3) = 3" in out
-        assert "matrices visited: 21" in out
+        assert "|D(2,3)| = 21" in out
         assert "witness:" in out
 
     def test_structured_max_tropdet(self, capsys):
@@ -916,7 +916,7 @@ GOLDEN = [
         "enumerate --m 2 --n 3 --stat min-tdet",
         0,
         "min tdet over D(2,3) = 3\n"
-        "matrices visited: 21\n"
+        "|D(2,3)| = 21\n"
         "witness:\n"
         "0 1 1\n"
         "1 0 1\n"
@@ -933,7 +933,7 @@ GOLDEN = [
         "enumerate --m 5 --n 3 --stat max-tropdet",
         0,
         "max tropdet over D(5,3) = 4\n"
-        "matrices visited: 231\n"
+        "|D(5,3)| = 231\n"
         "witness:\n"
         "1 1 3\n"
         "2 2 1\n"

@@ -439,6 +439,12 @@ class TestEhrhart:
         with pytest.raises(DomainError, match="rows \\* n <= 25000000"):
             brute_L(10**5, 3, budget=10**30)
 
+    def test_search_tables_keep_the_cell_limit(self, monkeypatch):
+        # 21! < 10**30 passes the budget; 21 * 2**21 subset-table cells do not
+        monkeypatch.setattr("tropdet.enumerate_ds._tables", _unbuilt)
+        with pytest.raises(DomainError, match="n \\* 2\\*\\*n <= 25000000, got n = 21$"):
+            brute_L(1, 21, budget=10**30)
+
     def test_cli_counts_a_million_by_five(self, capsys, monkeypatch):
         monkeypatch.setenv("TROPDET_MAX_VISITS", "1" + "0" * 100)
         code = main(["enumerate", "--m", "1000000", "--n", "5", "--stat", "count"])

@@ -14,6 +14,9 @@ from tropdet import (
     LineSumError,
     MatrixParseError,
     MatrixShapeError,
+    brute_L,
+    construct_max_tropdet,
+    construct_min_tdet,
     parse_matrix,
     random_ds,
     serialize,
@@ -96,10 +99,10 @@ def plain_reference(a: IntMatrix) -> str:
 
 @st.composite
 def int_matrices(draw):
-    """Matrices up to 6 x 6, empty shapes included, with entries anywhere
-    up to the int64 entry limit for their shape."""
-    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    top = (2**63 - 1) // max(rows, cols, 1)
+    """Matrices from 1 x 1 to 6 x 6, with entries anywhere up to the int64
+    entry limit for their shape."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    top = (2**63 - 1) // max(rows, cols)
     entry = st.one_of(st.integers(0, 12), st.integers(0, top), st.just(top))
     size = rows * cols
     return IntMatrix(rows, cols, draw(st.lists(entry, min_size=size, max_size=size)))
@@ -151,10 +154,9 @@ class TestPlainFormat:
     def test_render_and_round_trip(self, a):
         text = serialize(a)
         assert text == plain_reference(a)
-        if a.array.size:
-            assert _parse_canonical(text) is not None
-            assert parse_matrix(text) == a
-            assert parse_matrix(text + "\n") == a
+        assert _parse_canonical(text) is not None
+        assert parse_matrix(text) == a
+        assert parse_matrix(text + "\n") == a
 
     @pytest.mark.parametrize(
         "rows,cols",
@@ -175,13 +177,15 @@ class TestPlainFormat:
         # Entries of every digit count up to the limit's, and the limit.
         shift = 10 ** rng.integers(0, 19, size=(rows, cols))
         values = rng.integers(0, top, size=(rows, cols)) // shift
-        if values.size:
-            values.flat[-1] = top
+        if not values.size:  # no matrix is empty: there is nothing to render
+            with pytest.raises(MatrixShapeError, match=f"got {rows}x{cols}$"):
+                IntMatrix(rows, cols, values)
+            return
+        values.flat[-1] = top
         a = IntMatrix(rows, cols, values)
         text = serialize(a)
         assert text == plain_reference(a)
-        if a.array.size:
-            assert parse_matrix(text) == a
+        assert parse_matrix(text) == a
 
 
 def reference_parse(text: str) -> IntMatrix:
@@ -218,12 +222,12 @@ def outcome(parse, text):
 
 
 @st.composite
-def codec_matrices(draw, least=0, side=6):
-    """Matrices of least to side rows and columns, whose entries
+def codec_matrices(draw, side=6):
+    """Matrices of 1 to side rows and columns, whose entries
     share one width of 1-19 digits or mix widths and the edge values 0,
     9, 10, 2**63 - 1 and the entry limit of their shape."""
-    rows, cols = draw(st.integers(least, side)), draw(st.integers(least, side))
-    top = (2**63 - 1) // max(rows, cols, 1)
+    rows, cols = draw(st.integers(1, side)), draw(st.integers(1, side))
+    top = (2**63 - 1) // max(rows, cols)
 
     def of_width(w):
         low = 10 ** (w - 1) if w > 1 else 0
@@ -248,11 +252,10 @@ class TestCodec:
     def test_render_is_the_token_join_and_round_trips(self, a):
         text = serialize(a)
         assert text == plain_reference(a)
-        if a.array.size:
-            assert parse_matrix(text) == a
+        assert parse_matrix(text) == a
 
     @settings(max_examples=12)
-    @given(codec_matrices(least=1, side=3))
+    @given(codec_matrices(side=3))
     def test_one_byte_mutations_match_reference_parser(self, a):
         text = serialize(a)
         variants = {text[:i] + text[i + 1 :] for i in range(len(text))}
@@ -428,10 +431,59 @@ class TestSerialize:
 
 
 class TestIntMatrix:
-    def test_empty_submatrix_allowed(self):
+    @pytest.mark.parametrize("rows,cols", [(0, 2), (2, 0), (-1, 2)])
+    def test_empty_shapes_refused(self, rows, cols):
+        message = f"^a matrix needs at least 1 x 1, got {rows}x{cols}$"
+        with pytest.raises(MatrixShapeError, match=message):
+            IntMatrix(rows, cols, [])
         block = mat([[1, 2], [3, 4]]).array[np.ix_([], [0, 1])]
-        sub = IntMatrix(*block.shape, block)
-        assert sub.rows == 0 and sub.cols == 2
+        with pytest.raises(MatrixShapeError, match="got 0x2$"):
+            IntMatrix._adopt(block.copy())
+
+    def test_every_matrix_stays_frozen(self):
+        # numpy lets an array that owns its data be made writable again;
+        # each matrix must hold a view of a frozen owner that only it keeps.
+        owner = np.array([[1, 0], [0, 1]], dtype=np.int64)
+        frozen = owner.copy()
+        frozen.flags.writeable = False
+        # The one-digit and numpy-reader paths, and one only the token loop reads.
+        assert _parse_canonical("1 0\n0 1").dtype == np.uint8
+        assert _parse_canonical("10 0\n0 10").dtype == np.int64
+        assert _parse_canonical("1  0\n0 1") is None
+        made = {
+            "list": IntMatrix(2, 2, [[1, 0], [0, 1]]),
+            "writable array": IntMatrix(2, 2, owner),
+            "frozen owning array": IntMatrix(2, 2, frozen),
+            "one-digit parse": parse_matrix("1 0\n0 1"),
+            "numpy-reader parse": parse_matrix("10 0\n0 10"),
+            "token parse": parse_matrix("1  0\n0 1"),
+            "min-tdet construction": construct_min_tdet(5, 4).matrix,
+            "max-tropdet construction": construct_max_tropdet(5, 4).matrix,
+            "random_ds": random_ds(3, 4, seed=1).matrix,
+            "brute_L witness": brute_L(2, 3).witness.matrix,
+        }
+        for name, a in made.items():
+            before = a.array.copy()
+            with pytest.raises(ValueError):
+                a.array.flags.writeable = True
+            assert not a.array.flags.writeable, name
+            assert np.array_equal(a.array, before), name
+        # What the caller passed stays its own, frozen or not.
+        frozen.flags.writeable = True
+        frozen[0, 0] = owner[1, 1] = 9
+        assert made["writable array"].array.tolist() == [[1, 0], [0, 1]]
+        assert made["frozen owning array"].array.tolist() == [[1, 0], [0, 1]]
+
+    def test_equality_with_other_types_is_false(self):
+        assert IntMatrix(1, 1, [1]).__eq__([[1]]) is NotImplemented
+        assert not IntMatrix(1, 1, [1]) == [[1]]
+        assert IntMatrix(1, 1, [1]) != [[1]]
+
+    def test_equal_matrices_hash_equal(self):
+        a, b = mat([[1, 2], [2, 1]]), IntMatrix(2, 2, (1, 2, 2, 1))
+        assert a == b and hash(a) == hash(b)
+        keys = {validate_ds(a): "a"}
+        assert keys[validate_ds(b)] == "a"
 
     def test_bad_entry_count(self):
         with pytest.raises(MatrixShapeError):
