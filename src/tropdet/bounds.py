@@ -53,6 +53,16 @@ class CaseTag(str, enum.Enum):
 
 @dataclass(frozen=True)
 class BoundsResult:
+    """A sharp bound over D(m, n) and how it was reached.
+
+    value is the bound, case_tag the formula that gave it and params the
+    split m = q*n + r.  l, eqn1_holds and eqn2_holds are set only in the
+    hard case (HARD_CASE1, HARD_CASE2) and are None outside it: l is the
+    smallest l >= 0 satisfying ineq2, and eqn1_holds and eqn2_holds say
+    whether ineq1 and ineq2 hold there.  eqn2_holds is True whenever l is
+    set, since ineq1 implies ineq2 and l is the least l that satisfies ineq2.
+    """
+
     value: int
     case_tag: CaseTag
     params: SplitParams

@@ -23,14 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import check_certificate, tdet, tropdet
+from .assignment import tdet, tropdet
 from .blocks import largest_low_block
 from .bounds import BoundsResult, lower_bound_L, rubik_answer, upper_bound_U
-from .construct import (
-    construct_max_tropdet,
-    construct_min_tdet,
-    extremal_certificate,
-)
+from .construct import _proved
 from .enumerate_ds import (
     DEFAULT_VISIT_BUDGET,
     brute_L,
@@ -131,17 +127,8 @@ def _cmd_bounds(args) -> _Result:
 
 
 def _cmd_construct(args) -> _Result:
-    if args.objective == "min-tdet":
-        ds = construct_min_tdet(args.m, args.n)
-        res = lower_bound_L(args.m, args.n)
-        label, maximize = "tdet", True
-    else:
-        ds = construct_max_tropdet(args.m, args.n)
-        res = upper_bound_U(args.m, args.n)
-        label, maximize = "tropdet", False
     # The value is proved, not solved: exact duals and a tight witness.
-    cert = extremal_certificate(args.m, args.n, args.objective)
-    achieved = check_certificate(ds.matrix, cert, maximize).value
+    ds, res, achieved = _proved(args.m, args.n, args.objective)
     doc = {
         "m": args.m,
         "n": args.n,
@@ -154,7 +141,7 @@ def _cmd_construct(args) -> _Result:
     lines = [
         f"m = {args.m}, n = {args.n}, objective = {args.objective}",
         ds,
-        f"{label} = {achieved}",
+        f"{args.objective.partition('-')[2]} = {achieved}",  # tdet or tropdet
         f"bound = {res.value}  [case {res.case_tag.value}]",
     ]
     return 0, doc, lines
@@ -244,7 +231,7 @@ def _cmd_enumerate(args) -> _Result:
 
 def _cmd_rubik(args) -> _Result:
     answer = rubik_answer(args.colors, args.stickers_per_face)
-    witness = construct_min_tdet(args.stickers_per_face, args.colors)
+    witness = _proved(args.stickers_per_face, args.colors, "min-tdet")[0]
     doc = {
         "colors": args.colors,
         "stickers_per_face": args.stickers_per_face,

@@ -6,8 +6,8 @@ transversal meets the sharp upper bound.  Each is a block matrix [[A1, A2],
 [A3, A4]], off-blocks possibly empty, built in the one n x n int64 array it
 keeps: a constant, circulant bands (bool windows over one cycled pattern)
 added in place, and in the hard case an upper-left block dealt round-robin.
-extremal_certificate gives the duals and the witness permutation that
-prove each construction's value with assignment.check_certificate.
+extremal_certificate's duals and witness prove each construction's value
+with assignment.check_certificate; _proved builds a member and proves it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Certificate
-from .bounds import CaseTag, lower_bound_L, smallest_l, upper_bound_U
+from .assignment import Certificate, check_certificate
+from .bounds import BoundsResult, CaseTag, lower_bound_L, smallest_l, upper_bound_U
 from .errors import DomainError
 from .matrices import DSMatrix, IntMatrix, _full, split, validate_ds
 
@@ -185,6 +185,15 @@ def _band_witness(size: int, r: int) -> np.ndarray:
     return k * (size + 1) // r
 
 
+def _bound(m: int, n: int, objective: str) -> BoundsResult:
+    """L(m, n) for objective "min-tdet", U(m, n) for "max-tropdet"."""
+    if objective not in ("min-tdet", "max-tropdet"):
+        raise DomainError(
+            f"objective must be 'min-tdet' or 'max-tropdet', got {objective!r}"
+        )
+    return lower_bound_L(m, n) if objective == "min-tdet" else upper_bound_U(m, n)
+
+
 def extremal_certificate(m: int, n: int, objective: str) -> Certificate:
     """Duals u, v and a witness permutation proving a construction's value.
 
@@ -210,14 +219,7 @@ def extremal_certificate(m: int, n: int, objective: str) -> Certificate:
       HIGH_R   u += 1 on rows >= side,     reversal
                v = -1 on columns < side
     """
-    if objective == "min-tdet":
-        tag = lower_bound_L(m, n).case_tag
-    elif objective == "max-tropdet":
-        tag = upper_bound_U(m, n).case_tag
-    else:
-        raise DomainError(
-            f"objective must be 'min-tdet' or 'max-tropdet', got {objective!r}"
-        )
+    tag = _bound(m, n, objective).case_tag
     q, r = divmod(m, n)
     side, k = n - r, 2 * r - n
     i = np.arange(n)
@@ -246,3 +248,13 @@ def extremal_certificate(m: int, n: int, objective: str) -> Certificate:
         v = [-1] * side + [0] * r
         perm = i[::-1]
     return Certificate(u=tuple(u), v=tuple(v), perm=tuple(perm.tolist()))
+
+
+def _proved(m: int, n: int, objective: str) -> tuple[DSMatrix, BoundsResult, int]:
+    """objective's member of D(m, n), the bound it meets and its tdet (for
+    "min-tdet") or tropdet, proved by extremal_certificate, not solved."""
+    res = _bound(m, n, objective)
+    maximize = objective == "min-tdet"
+    ds = construct_min_tdet(m, n) if maximize else construct_max_tropdet(m, n)
+    cert = extremal_certificate(m, n, objective)
+    return ds, res, check_certificate(ds.matrix, cert, maximize).value

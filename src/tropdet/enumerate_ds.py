@@ -39,8 +39,10 @@ __all__ = [
 
 DEFAULT_VISIT_BUDGET = 50_000_000
 
-# Row pools kept between calls: enough for a sweep over a few cells, and a
-# bound on the memory a long run of distinct (m, n) can hold.
+# Row pools, and the search's column-subset tables, each kept between calls:
+# enough for a sweep over a few cells, and a bound on the memory a long run
+# of distinct (m, n), or of n, can hold.  The bound counts pools and tables,
+# not bytes: the tables at n = 20 alone hold about 160 MiB.
 _POOL_CACHE_SIZE = 8
 
 
@@ -201,7 +203,7 @@ def _two_rows(m: int, col_rem: tuple[int, ...]) -> int:
     return sum(s * math.comb(t - d + n - 1, n - 1) for d, s in terms)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_POOL_CACHE_SIZE)
 def _tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """For k = 0..n, the k-subsets S of range(n) in combinations order, as
     two read-only (C(n, k) x k) int arrays: the columns j of each S, and the

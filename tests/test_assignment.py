@@ -221,6 +221,25 @@ def test_construct_leaves_scipy_unloaded(m, n, objective, tag):
     # calls the assignment solve, the one user of scipy
     bound = lower_bound_L if objective == "min-tdet" else upper_bound_U
     assert bound(m, n).case_tag.value == tag
+    argv = ["construct", "--m", str(m), "--n", str(n), "--objective", objective]
+    assert _scipy_loaded_after(argv) == "False False"
+
+
+MIN_TDET_EXAMPLES = [row for row in CASE_EXAMPLES if row[2] == "min-tdet"]
+
+
+@pytest.mark.parametrize(
+    "m,n", [row[:2] for row in MIN_TDET_EXAMPLES], ids=[row[3] for row in MIN_TDET_EXAMPLES]
+)
+def test_rubik_leaves_scipy_unloaded(m, n):
+    # rubik's witness is construct's min-tdet member, proved the same way
+    argv = ["rubik", "--colors", str(n), "--stickers-per-face", str(m)]
+    assert _scipy_loaded_after(argv) == "False False"
+
+
+def _scipy_loaded_after(argv):
+    """Whether scipy.optimize and scipy.sparse are loaded after the CLI runs
+    argv in a fresh interpreter, which must exit 0."""
     src = str(Path(sys.modules["tropdet"].__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
@@ -228,7 +247,6 @@ def test_construct_leaves_scipy_unloaded(m, n, objective, tag):
         "assert tropdet.cli.main(sys.argv[1:]) == 0\n"
         "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"
     )
-    argv = ["construct", "--m", str(m), "--n", str(n), "--objective", objective]
     out = subprocess.run(
         [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": path},
@@ -236,7 +254,7 @@ def test_construct_leaves_scipy_unloaded(m, n, objective, tag):
         text=True,
         check=True,
     )
-    assert out.stdout.splitlines()[-1] == "False False"
+    return out.stdout.splitlines()[-1]
 
 
 def test_tropdet_file_leaves_scipy_unloaded(tmp_path):

@@ -388,6 +388,27 @@ class TestRubik:
         assert sum(doc["witness"]["entries"]) == 24
 
 
+class TestProvedBeforePrinting:
+    """construct and rubik print their member only once its certificate
+    checks: a broken witness exits 1 with one line and prints nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "construct --m 7 --n 6 --objective min-tdet",
+            "rubik --colors 6 --stickers-per-face 7",
+        ],
+    )
+    def test_broken_witness_is_refused(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(
+            "tropdet.construct._band_witness",
+            lambda size, r: np.zeros(size, np.int64),
+        )
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err == "error: witness is not a permutation\n"
+
+
 class TestZeroBlock:
     def test_identity(self, capsys, tmp_path):
         path = write(tmp_path, "id.txt", "1 0 0\n0 1 0\n0 0 1\n")
@@ -461,6 +482,13 @@ class TestRandom:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "m * n <= 50000000" in err
+
+    def test_cap_ignores_a_raised_budget(self, capsys, monkeypatch):
+        # The cap is fixed: TROPDET_MAX_VISITS moves only enumerate's budget.
+        monkeypatch.setenv("TROPDET_MAX_VISITS", "1000000000000")
+        code, out, err = run(capsys, "random", "--m", "50000001", "--n", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: random needs m * n <= 50000000, got 50000001\n"
 
 
 class TestCellLimit:

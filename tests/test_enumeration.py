@@ -598,6 +598,12 @@ class TestPrefixBound:
                 [below.index(tuple(c for c in s if c != j)) for j in s] for s in subsets
             ]
 
+    def test_tables_stay_bounded(self):
+        # a bounded number of n keep their tables cached, not one per n
+        for k in range(1, 12):
+            _tables(k)
+        assert _tables.cache_info().currsize <= _POOL_CACHE_SIZE < 11
+
 
 class TestOneColumn:
     """At n = 1 the pool is the one row (m), for every m within int64."""
